@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-__all__ = ["mask_of", "bits", "popcount", "lowest_bit", "without", "with_bit"]
+__all__ = ["mask_of", "bits"]
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -28,22 +28,3 @@ def bits(mask: int) -> Iterator[int]:
         yield low.bit_length() - 1
         mask ^= low
 
-
-def popcount(mask: int) -> int:
-    """Number of set bits."""
-    return mask.bit_count()
-
-
-def lowest_bit(mask: int) -> int:
-    """Index of the lowest set bit (mask must be non-zero)."""
-    return (mask & -mask).bit_length() - 1
-
-
-def without(mask: int, v: int) -> int:
-    """``mask`` with bit ``v`` cleared."""
-    return mask & ~(1 << v)
-
-
-def with_bit(mask: int, v: int) -> int:
-    """``mask`` with bit ``v`` set."""
-    return mask | (1 << v)

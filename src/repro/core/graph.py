@@ -57,10 +57,6 @@ class LocalGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
-    def vertices_mask(self) -> int:
-        """Mask of vertices with degree ≥ 1 plus isolated vertices (all n)."""
-        return (1 << self.n) - 1
-
     # ------------------------------------------------------ subgraph
     def induce(self, vertex_mask: int) -> "LocalGraph":
         """Induced subgraph on the same id space (vertices outside the
@@ -70,19 +66,6 @@ class LocalGraph:
         for v in bits(vertex_mask):
             g.adj[v] = self.adj[v] & vertex_mask
         return g
-
-    def relabel(self, vertex_mask: int) -> tuple["LocalGraph", list[int]]:
-        """Compact induced subgraph ``0..k-1`` plus new→old id table."""
-        old_ids = list(bits(vertex_mask))
-        pos = {v: i for i, v in enumerate(old_ids)}
-        g = LocalGraph(len(old_ids))
-        for i, v in enumerate(old_ids):
-            m = self.adj[v] & vertex_mask
-            acc = 0
-            for w in bits(m):
-                acc |= 1 << pos[w]
-            g.adj[i] = acc
-        return g, old_ids
 
     # --------------------------------------------------------- k-core
     def kcore_mask(self, k: int, within: int | None = None) -> int:

@@ -2,15 +2,16 @@
 
 The set-enumeration search outputs *candidate* quasi-cliques that may be
 contained in other results found by sibling tasks (Section 3). The paper
-uses a prefix-tree over result vertex sets; at our scale an inverted
-index (vertex -> results containing it) gives the same asymptotic
-benefit with far less code: a set S only needs subset checks against
-the strictly larger results that share at least one vertex with it.
+uses a prefix-tree over result vertex sets; at our scale one int bitmask
+per vertex does the same job with far less code. Candidates are visited
+largest first, and bit ``i`` of ``holders[v]`` is set iff the ``i``-th
+kept result contains ``v``. A candidate is contained in a kept result
+iff the AND of its vertices' masks is non-zero; duplicates are removed
+first, so that result is a strict superset.
 """
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from typing import Iterable
 
 __all__ = ["maximal_only", "timed_maximal_only"]
@@ -18,24 +19,20 @@ __all__ = ["maximal_only", "timed_maximal_only"]
 
 def maximal_only(results: Iterable[frozenset[int]]) -> set[frozenset[int]]:
     """Filter to sets not strictly contained in any other result."""
-    res = list(set(results))
-    res.sort(key=len, reverse=True)
-    index: dict[int, list[int]] = defaultdict(list)  # vertex -> kept result idx
+    holders: dict[int, int] = {}  # vertex -> mask of kept results holding it
     kept: list[frozenset[int]] = []
-    for s in res:
-        v0 = min(s, key=lambda v: len(index[v]), default=None)
-        dominated = False
-        if v0 is not None:
-            for i in index[v0]:
-                t = kept[i]
-                if len(t) > len(s) and s < t:
-                    dominated = True
-                    break
-        if not dominated:
-            idx = len(kept)
-            kept.append(s)
-            for v in s:
-                index[v].append(idx)
+    for s in sorted(set(results), key=len, reverse=True):
+        common = (1 << len(kept)) - 1
+        for v in s:
+            common &= holders.get(v, 0)
+            if not common:
+                break
+        if common:
+            continue  # dominated: a kept result contains every vertex of s
+        bit = 1 << len(kept)
+        kept.append(s)
+        for v in s:
+            holders[v] = holders.get(v, 0) | bit
     return set(kept)
 
 

@@ -22,10 +22,16 @@ boundary/empty-ext paths, and the boundary handling in U_S/L_S.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .bitset import bits
-from .bounds import best_cover_vertex, critical_vertices, lower_bound, upper_bound
+from .bounds import (
+    DegreeSnapshot,
+    best_cover_vertex,
+    critical_vertices,
+    lower_bound,
+    upper_bound,
+)
 from .gamma import Gamma, make_gamma
 from .graph import LocalGraph
 
@@ -75,12 +81,8 @@ class MineStats:
     t_bounds: float = 0.0
 
     def merge(self, other: "MineStats") -> None:
-        for f in (
-            "n_emitted", "n_recursive_calls", "n_subtasks", "n_lookahead_hits",
-            "n_type1_pruned", "n_type2_pruned", "n_critical_moves",
-            "n_cover_pruned", "t_lookahead", "t_cover", "t_critical", "t_bounds",
-        ):
-            setattr(self, f, getattr(self, f) + getattr(other, f))
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass
@@ -157,12 +159,14 @@ class Miner:
         critical-vertex moves and ext may have shrunk. Guarantees
         ext' != 0 when ``pruned`` is false. Emits G(S) on the boundary
         paths exactly as Quick+ specifies."""
-        gam, g, stats = self.gamma, self.g, self.stats
+        gam, adj, stats = self.gamma, self.g.adj, self.stats
         while True:
-            # --- bounds (P4, P5); Type II may fire here (boundary fix)
+            # --- one degree snapshot per round; bounds (P4, P5); Type II
+            # may fire here (boundary fix)
             t0 = self.clock()
-            u_s = upper_bound(g, S, ext, gam)
-            l_s = lower_bound(g, S, ext, gam)
+            snap = DegreeSnapshot(self.g, S, ext)
+            u_s = upper_bound(snap, gam)
+            l_s = lower_bound(snap, gam)
             stats.t_bounds += self.clock() - t0
             if l_s is None:
                 stats.n_type2_pruned += 1
@@ -178,10 +182,10 @@ class Miner:
 
             # --- critical vertices (P6), batched in Quick+
             t0 = self.clock()
-            crit = critical_vertices(g, S, ext, gam, l_s)
+            crit = critical_vertices(snap, gam, l_s)
             moved = 0
             for v in crit:
-                m = g.adj[v] & ext
+                m = adj[v] & ext
                 moved |= m
                 if m and not self.cfg.multi_critical:
                     break  # Quick moves one critical vertex per round
@@ -198,22 +202,25 @@ class Miner:
                     break  # fall through to the empty-ext epilogue
                 continue  # degrees/bounds changed: restart the round
 
+            # Right-hand sides of Theorems 5-8 are the same for every vertex.
+            # Thm 6 needs d_S(v) ≥ need_u for v ∈ S, Thm 5 d_S(u) > need_u
+            # for u ∈ ext.
+            s = len(snap.s_list)
+            need_u = gam.ceil_mul(s + u_s - 1) - u_s
+            need_l = gam.ceil_mul(s + l_s - 1)  # Thms 7, 8
+            need_s = gam.ceil_mul(s)  # Thm 4(i)
+
             # --- Type II rules (Theorems 4, 6, 8)
-            s = S.bit_count()
             ext_only_pruned = False
-            for v in bits(S):
-                d_ss = (g.adj[v] & S).bit_count()
-                d_es = (g.adj[v] & ext).bit_count()
-                if d_ss + d_es < gam.ceil_mul(s - 1 + d_es):  # Thm 4(ii)
+            for d_ss, d_es in zip(snap.d_ss, snap.d_es):
+                if (
+                    d_ss + d_es < gam.ceil_mul(s - 1 + d_es)  # Thm 4(ii)
+                    or d_ss < need_u  # Thm 6
+                    or d_ss + d_es < need_l  # Thm 8
+                ):
                     stats.n_type2_pruned += 1
                     return True, S, ext
-                if d_ss + u_s < gam.ceil_mul(s + u_s - 1):  # Thm 6
-                    stats.n_type2_pruned += 1
-                    return True, S, ext
-                if d_ss + d_es < gam.ceil_mul(s + l_s - 1):  # Thm 8
-                    stats.n_type2_pruned += 1
-                    return True, S, ext
-                if d_es == 0 and d_ss < gam.ceil_mul(s):  # Thm 4(i)
+                if d_es == 0 and d_ss < need_s:  # Thm 4(i)
                     ext_only_pruned = True
             if ext_only_pruned:
                 self._emit_if_valid(S)  # Alg 2 lines 13–16
@@ -221,13 +228,14 @@ class Miner:
 
             # --- Type I rules (Theorems 3, 5, 7); EE-degrees only here
             removed = 0
-            for u in bits(ext):
-                d_se = (g.adj[u] & S).bit_count()
-                d_ee = (g.adj[u] & ext).bit_count()
+            for u, d_se in zip(snap.ext_list, snap.d_se):
+                if d_se <= need_u:  # Thm 5
+                    removed |= 1 << u
+                    continue
+                d_ee = (adj[u] & ext).bit_count()
                 if (
                     d_se + d_ee < gam.ceil_mul(s + d_ee)  # Thm 3
-                    or d_se + u_s - 1 < gam.ceil_mul(s + u_s - 1)  # Thm 5
-                    or d_se + d_ee < gam.ceil_mul(s + l_s - 1)  # Thm 7
+                    or d_se + d_ee < need_l  # Thm 7
                 ):
                     removed |= 1 << u
             if removed:

@@ -73,8 +73,13 @@ def spawn_all(
 ):
     """Preprocess ((P2) k-core + two-hop-size prune), compute the
     mining order (degenerate (P7) recoding when enabled) and build all
-    root tasks. Returns (pruned GlobalGraph, list[SpawnTask])."""
+    root tasks. Returns (pruned GlobalGraph, list[SpawnTask]).
+
+    Raises ``ValueError`` for γ < 0.5: the (P1) two-hop shrink assumes
+    a quasi-clique has diameter ≤ 2, which only holds for γ ≥ 0.5."""
     gam = make_gamma(gamma)
+    if 2 * gam.num < gam.den:
+        raise ValueError(f"gamma must be >= 0.5, got {gam.value}")
     pruned = gg.pruned_subgraph(gam, tau_size)
     alive = {v for v in range(pruned.n) if pruned.adj[v]}
     rank, skip = pruned.mining_order(alive, cfg.degenerate_cover)

@@ -1,7 +1,7 @@
 """Bitmask set helpers (repro/core/bitset.py)."""
 from hypothesis import given, strategies as st
 
-from repro.core.bitset import bits, lowest_bit, mask_of, popcount, with_bit, without
+from repro.core.bitset import bits, mask_of
 
 sets_st = st.sets(st.integers(0, 200), max_size=40)
 
@@ -16,24 +16,7 @@ class TestRoundTrip:
         out = list(bits(mask_of(s)))
         assert out == sorted(out)
 
-    @given(sets_st)
-    def test_popcount(self, s):
-        assert popcount(mask_of(s)) == len(s)
-
 
 class TestBitOps:
-    @given(sets_st.filter(bool))
-    def test_lowest_bit(self, s):
-        assert lowest_bit(mask_of(s)) == min(s)
-
-    @given(sets_st, st.integers(0, 200))
-    def test_without(self, s, v):
-        assert set(bits(without(mask_of(s), v))) == s - {v}
-
-    @given(sets_st, st.integers(0, 200))
-    def test_with_bit(self, s, v):
-        assert set(bits(with_bit(mask_of(s), v))) == s | {v}
-
     def test_empty_mask(self):
         assert list(bits(0)) == []
-        assert popcount(0) == 0

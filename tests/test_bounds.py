@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.bitset import bits, mask_of
 from repro.core.bounds import (
+    DegreeSnapshot,
     best_cover_vertex,
     cover_set,
     critical_vertices,
@@ -63,7 +64,7 @@ class TestUpperBound:
         g, S, ext, gam = gs
         if gam.num == 0 or ext == 0:
             return
-        u_s = upper_bound(g, S, ext, gam)
+        u_s = upper_bound(DegreeSnapshot(g, S, ext), gam)
         for z in valid_extensions(g, S, ext, gam):
             if z.bit_count() >= 1:
                 assert u_s is not None and z.bit_count() <= u_s, (
@@ -72,7 +73,8 @@ class TestUpperBound:
 
     def test_clique_allows_full_extension(self):
         g = LocalGraph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-        u_s = upper_bound(g, mask_of({0}), mask_of({1, 2, 3}), make_gamma(1.0))
+        snap = DegreeSnapshot(g, mask_of({0}), mask_of({1, 2, 3}))
+        u_s = upper_bound(snap, make_gamma(1.0))
         assert u_s == 3
 
 
@@ -83,7 +85,7 @@ class TestLowerBound:
         g, S, ext, gam = gs
         if gam.num == 0 or ext == 0:
             return
-        l_s = lower_bound(g, S, ext, gam)
+        l_s = lower_bound(DegreeSnapshot(g, S, ext), gam)
         for z in valid_extensions(g, S, ext, gam):
             assert l_s is not None and z.bit_count() >= l_s, (
                 f"valid extension of size {z.bit_count()} below L_S={l_s}"
@@ -91,7 +93,8 @@ class TestLowerBound:
 
     def test_quasi_clique_s_gives_zero(self):
         g = LocalGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        assert lower_bound(g, mask_of({0, 1, 2}), 0, make_gamma(0.5)) == 0
+        snap = DegreeSnapshot(g, mask_of({0, 1, 2}), 0)
+        assert lower_bound(snap, make_gamma(0.5)) == 0
 
 
 class TestCriticalVertex:
@@ -103,10 +106,11 @@ class TestCriticalVertex:
         g, S, ext, gam = gs
         if gam.num == 0 or ext == 0:
             return
-        l_s = lower_bound(g, S, ext, gam)
+        snap = DegreeSnapshot(g, S, ext)
+        l_s = lower_bound(snap, gam)
         if l_s is None:
             return
-        for v in critical_vertices(g, S, ext, gam, l_s):
+        for v in critical_vertices(snap, gam, l_s):
             nbrs = g.adj[v] & ext
             for z in valid_extensions(g, S, ext, gam):
                 if z != 0:  # strict extension

@@ -33,6 +33,15 @@ class TestSpawnAll:
         for t in roots:
             assert t.s_mask & t.ext_mask == 0
 
+    def test_gamma_below_half_refused(self):
+        # A 6-cycle is a 0.4-quasi-clique (every degree 2 ≥ ceil(0.4·5)),
+        # but its diameter is 3, so the (P1) two-hop shrink would lose
+        # it: the engine must refuse γ < 0.5 rather than return ∅.
+        cycle = GlobalGraph.from_edges([(i, (i + 1) % 6) for i in range(6)])
+        with pytest.raises(ValueError, match="gamma"):
+            run_serial(cycle, 0.4, 6)
+        assert run_serial(cycle, 0.5, 6).maximal == set()
+
 
 class TestStrategiesAgree:
     @pytest.mark.parametrize("strategy,kw", [

@@ -1,4 +1,4 @@
-"""LocalGraph: adjacency, induce/relabel, k-core, 2-hop, connectivity."""
+"""LocalGraph: adjacency, induce, k-core, 2-hop, connectivity."""
 import random
 
 import pytest
@@ -60,13 +60,6 @@ class TestInduce:
             for v in keep:
                 if u < v and g.has_edge(u, v):
                     assert sub.has_edge(u, v)
-
-    def test_relabel_compacts_ids(self):
-        g = LocalGraph.from_edges(5, [(0, 2), (2, 4)])
-        sub, ids = g.relabel(mask_of({0, 2, 4}))
-        assert ids == [0, 2, 4]
-        assert sub.n == 3
-        assert sub.has_edge(0, 1) and sub.has_edge(1, 2) and not sub.has_edge(0, 2)
 
 
 class TestKCore:

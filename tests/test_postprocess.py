@@ -29,6 +29,10 @@ class TestMaximalOnly:
     def test_empty(self):
         assert maximal_only([]) == set()
 
+    def test_empty_set_dominated_by_any_other(self):
+        assert maximal_only([frozenset()]) == {frozenset()}
+        assert maximal_only([frozenset(), frozenset({1})]) == {frozenset({1})}
+
     @given(
         st.lists(
             st.frozensets(st.integers(0, 12), min_size=1, max_size=6),
