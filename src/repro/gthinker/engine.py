@@ -21,7 +21,14 @@ Two interchangeable drivers run the same task code
 
   The k-core-pruned input graph is shipped once per executor as a
   broadcast (the analogue of G-thinker's distributed vertex store +
-  remote vertex cache: every vertex pulled at most once).
+  remote vertex cache: every vertex pulled at most once), together with
+  the mining order computed once on the driver.
+
+  Tasks and results cross the Python/JVM boundary as typed rows
+  (``kind``, ``s``, ``ext`` as ``array<bigint>``). As in the paper's
+  engine, candidates stay on the worker that found them until it has
+  dropped those another of its candidates contains; only the survivors
+  reach the driver's final maximality pass.
 """
 from __future__ import annotations
 
@@ -30,17 +37,28 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
 import pandas as pd
+from pyspark.sql.types import ArrayType, LongType, StringType, StructField, StructType
 
 from ..core.gamma import make_gamma
-from ..core.postprocess import timed_maximal_only
+from ..core.postprocess import maximal_only, timed_maximal_only
 from ..core.quickplus import QUICK_PLUS, MineConfig, MineStats
 from ..graphs.global_graph import GlobalGraph
 from .tasks import run_task
 
 __all__ = ["JobResult", "run_serial", "run_spark", "spawn_all"]
 
-_TASK_SCHEMA = "kind string, payload string"
+# Task rows carry global vertex ids: a root row holds its spawn vertex in
+# ``s``; a subtask row holds S and ext(S). Output rows add a JSON
+# ``payload`` used only by the per-partition stats row and feature rows.
+# StructTypes rather than DDL strings: Spark parses a string in the JVM
+# on every call, once per round.
+_IDS = ArrayType(LongType())
+_TASK_SCHEMA = StructType([
+    StructField("kind", StringType()), StructField("s", _IDS), StructField("ext", _IDS)
+])
+_ROW_SCHEMA = StructType([*_TASK_SCHEMA.fields, StructField("payload", StringType())])
 
 
 @dataclass
@@ -52,7 +70,11 @@ class JobResult:
     job_time: float = 0.0
     mine_time: float = 0.0  # sum of per-task mining time
     materialize_time: float = 0.0  # sum of subtask-subgraph build time
+    # Spark path: ``results`` holds the candidates that survived each
+    # partition's maximality filter (timed in ``worker_filter_time``),
+    # and ``postprocess_time`` is the driver's final pass alone.
     postprocess_time: float = 0.0
+    worker_filter_time: float = 0.0  # sum of per-partition filter time
     n_root_tasks: int = 0
     n_subtasks: int = 0
     n_rounds: int = 0
@@ -81,8 +103,7 @@ def spawn_all(
     if 2 * gam.num < gam.den:
         raise ValueError(f"gamma must be >= 0.5, got {gam.value}")
     pruned = gg.pruned_subgraph(gam, tau_size)
-    alive = {v for v in range(pruned.n) if pruned.adj[v]}
-    rank, skip = pruned.mining_order(alive, cfg.degenerate_cover)
+    alive, rank, skip = _mining_order(pruned, cfg)
     tasks = []
     for v in sorted(alive, key=lambda u: rank[u]):
         if v in skip:
@@ -91,6 +112,13 @@ def spawn_all(
         if t is not None:
             tasks.append(t)
     return pruned, tasks
+
+
+def _mining_order(pruned: GlobalGraph, cfg: MineConfig):
+    """(alive vertices, rank, (P7) skip set) of the pruned graph."""
+    alive = {v for v in range(pruned.n) if pruned.adj[v]}
+    rank, skip = pruned.mining_order(alive, cfg.degenerate_cover)
+    return alive, rank, skip
 
 
 def _merge_outcome(job: JobResult, outcome) -> list:
@@ -183,12 +211,10 @@ def _features_row(task, outcome, elapsed: float) -> dict:
 
 
 # --------------------------------------------------------------- spark
-def _encode_tasks(subtasks) -> pd.DataFrame:
-    rows = [
-        {"kind": "task", "payload": json.dumps([sorted(s), sorted(e)])}
-        for s, e in subtasks
-    ]
-    return pd.DataFrame(rows, columns=["kind", "payload"])
+def _ids(cell) -> list[int]:
+    """Python ints from an ``array<bigint>`` cell: a numpy array under
+    Arrow, a list otherwise. numpy ints must not reach the bitmasks."""
+    return cell.tolist() if isinstance(cell, np.ndarray) else list(cell)
 
 
 def run_spark(
@@ -215,31 +241,32 @@ def run_spark(
     if not roots:
         job.job_time = time.perf_counter() - t_start
         return job
-    bc = sc.broadcast(pruned)
+    alive, rank, _ = _mining_order(pruned, cfg)
+    bc = sc.broadcast((pruned, alive, rank))
     kw = dict(strategy=strategy, tau_split=tau_split, tau_time=tau_time, cfg=cfg)
     gam = make_gamma(gamma)
 
     def mine_partition(pdf_iter):
-        """mapInPandas worker: run every task row, emit result/sub/stat
-        rows. Root rounds ship only the spawn vertex id; the worker
-        rebuilds the ego-net task subgraph from the broadcast graph
-        (counted as materialization, like G-thinker's frontier pulls)."""
+        """mapInPandas worker: run every task row, then ship the
+        partition's locally maximal results, its subtasks, one stats row
+        and any feature rows. Root rows carry only the spawn vertex id;
+        the worker rebuilds the ego-net task subgraph from the broadcast
+        graph (counted as materialization, like G-thinker's frontier
+        pulls)."""
         sys.setrecursionlimit(20000)
-        g_all: GlobalGraph = bc.value
-        alive = {v for v in range(g_all.n) if g_all.adj[v]}
-        rank, _ = g_all.mining_order(alive, cfg.degenerate_cover)
-        rows = []
+        g_all, alive, rank = bc.value
+        results = []
+        subtasks = []
         mine_t = 0.0
         mat_t = 0.0
         stats = MineStats()
         feat_rows = []
         for pdf in pdf_iter:
-            for kind, payload in zip(pdf["kind"], pdf["payload"]):
+            for kind, s_ids, e_ids in zip(pdf["kind"], pdf["s"], pdf["ext"]):
                 t_task0 = time.perf_counter()
                 if kind == "root":
-                    v = int(payload)
                     t0 = time.perf_counter()
-                    task = g_all.spawn_task(v, rank, alive, gam, tau_size)
+                    task = g_all.spawn_task(int(s_ids[0]), rank, alive, gam, tau_size)
                     mat_t += time.perf_counter() - t0
                     if task is None:
                         continue
@@ -252,73 +279,66 @@ def run_spark(
                             _features_row(task, out, time.perf_counter() - t_task0)
                         )
                 else:
-                    s_list, e_list = json.loads(payload)
                     out = _run_subtask(
-                        g_all, frozenset(s_list), frozenset(e_list),
-                        gam, tau_size, **kw,
+                        g_all, _ids(s_ids), _ids(e_ids), gam, tau_size, **kw
                     )
                 mine_t += out.mine_time
                 mat_t += out.materialize_time
                 stats.merge(out.stats)
-                for s in out.results:
-                    rows.append({"kind": "res", "payload": json.dumps(sorted(s))})
-                for s, e in out.subtasks:
-                    rows.append(
-                        {"kind": "sub", "payload": json.dumps([sorted(s), sorted(e)])}
-                    )
-        rows.append(
-            {
-                "kind": "stat",
-                "payload": json.dumps(
-                    {"mine": mine_t, "mat": mat_t, "stats": stats.__dict__}
-                ),
-            }
-        )
-        for fr in feat_rows:
-            rows.append({"kind": "feat", "payload": json.dumps(fr)})
-        yield pd.DataFrame(rows, columns=["kind", "payload"])
+                results.extend(out.results)
+                subtasks.extend(out.subtasks)
+        # A candidate strictly inside another candidate is not maximal,
+        # so dropping it here never loses a global maximal set; the
+        # driver's final pass removes what other partitions dominate.
+        # (maximal_only, not the module's timed_maximal_only: tracers
+        # patch the latter on the driver, and the closure ships globals.)
+        t0 = time.perf_counter()
+        kept = maximal_only(results)
+        filter_t = time.perf_counter() - t0
+        stat = {"mine": mine_t, "mat": mat_t, "filter": filter_t,
+                "stats": stats.__dict__}
+        rows = [("res", list(s), None, None) for s in kept]
+        rows += [("sub", list(s), list(e), None) for s, e in subtasks]
+        rows.append(("stat", None, None, json.dumps(stat)))
+        rows += [("feat", None, None, json.dumps(fr)) for fr in feat_rows]
+        yield pd.DataFrame(rows, columns=["kind", "s", "ext", "payload"])
 
     # Round 0: root tasks, biggest estimated subgraphs first when
     # prioritizing (degree is the a-priori cost signal for a spawn).
-    root_rows = [
-        {"kind": "root", "payload": str(t.root), "cost": t.ext_mask.bit_count()}
-        for t in roots
-    ]
+    pending = pd.DataFrame({
+        "kind": "root",
+        "s": [[t.root] for t in roots],
+        "ext": [[] for _ in roots],
+        "cost": [t.ext_mask.bit_count() for t in roots],
+    })
     feat_frames = []
-    pending = pd.DataFrame(root_rows)
     while not pending.empty:
         job.n_rounds += 1
         if prioritize_big:
             pending = pending.sort_values("cost", ascending=False, kind="stable")
         tasks_df = (
-            spark.createDataFrame(pending[["kind", "payload"]])
+            spark.createDataFrame(pending[["kind", "s", "ext"]], schema=_TASK_SCHEMA)
             .coalesce(1)  # single input partition => exact round-robin deal
             .repartition(min(n_part, max(1, len(pending))))
         )
-        out_pdf = tasks_df.mapInPandas(mine_partition, schema=_TASK_SCHEMA).toPandas()
-        next_rows = []
-        for kind, payload in zip(out_pdf["kind"], out_pdf["payload"]):
-            if kind == "res":
-                job.results.add(frozenset(json.loads(payload)))
-            elif kind == "sub":
-                s_list, e_list = json.loads(payload)
-                next_rows.append(
-                    {
-                        "kind": "task",
-                        "payload": json.dumps([s_list, e_list]),
-                        "cost": len(e_list),
-                    }
-                )
-                job.n_subtasks += 1
-            elif kind == "stat":
-                st = json.loads(payload)
-                job.mine_time += st["mine"]
-                job.materialize_time += st["mat"]
-                sub = MineStats(**st["stats"])
-                job.stats.merge(sub)
-            elif kind == "feat":
-                feat_frames.append(json.loads(payload))
-        pending = pd.DataFrame(next_rows)
+        out_pdf = tasks_df.mapInPandas(mine_partition, schema=_ROW_SCHEMA).toPandas()
+        kind = out_pdf["kind"]
+        job.results.update(frozenset(_ids(s)) for s in out_pdf["s"][kind == "res"])
+        subs = out_pdf[kind == "sub"]
+        pending = pd.DataFrame({
+            "kind": "sub",
+            "s": [_ids(s) for s in subs["s"]],
+            "ext": [_ids(e) for e in subs["ext"]],
+            "cost": [len(e) for e in subs["ext"]],
+        })
+        job.n_subtasks += len(pending)
+        for payload in out_pdf["payload"][kind == "stat"]:
+            st = json.loads(payload)
+            job.mine_time += st["mine"]
+            job.materialize_time += st["mat"]
+            job.worker_filter_time += st["filter"]
+            job.stats.merge(MineStats(**st["stats"]))
+        feat_frames += [json.loads(p) for p in out_pdf["payload"][kind == "feat"]]
     bc.unpersist()
     job.maximal, job.postprocess_time = timed_maximal_only(job.results)
     job.job_time = time.perf_counter() - t_start

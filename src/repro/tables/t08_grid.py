@@ -3,6 +3,10 @@
 The paper sweeps a 5×6 grid per dataset; our grids are scaled to the
 stand-in costs (τ_time values are scaled down with the graphs). The
 asterisked best cell of each grid is the tuned value used by Table 7.
+
+A_time never reads τ_split: ``tasks.run_task`` consults it only under
+``strategy == "split"``. Every run here is A_time, so the τ_split axis
+only repeats each τ_time cell; its differences are run-to-run noise.
 """
 from __future__ import annotations
 

@@ -68,6 +68,28 @@ class TestSparkEngine:
                        tau_time=0.001, parallelism=8)
         assert lo.maximal == hi.maximal
 
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_worker_filter_ships_fewer_int_candidates(
+        self, spark, comm_gg, parallelism
+    ):
+        """A timeout of 0 decomposes every task the same way on both
+        engines, so the serial run's results are the unfiltered union of
+        the candidates the Spark workers found."""
+        serial = run_serial(comm_gg, 0.85, 9, strategy="time", tau_time=0.0)
+        job = run_spark(spark, comm_gg, 0.85, 9, strategy="time",
+                        tau_time=0.0, parallelism=parallelism)
+        assert job.maximal == serial.maximal
+        assert job.n_results <= serial.n_results
+        if parallelism == 1:  # one partition sees every candidate of a round
+            assert job.n_results < serial.n_results
+        assert job.results <= serial.results
+        for dropped in serial.results - job.results:
+            assert any(dropped < kept for kept in job.results)
+        assert all(
+            type(v) is int for s in job.results | job.maximal for v in s
+        )
+        assert job.worker_filter_time > 0
+
     def test_rounds_and_stats_populated(self, spark, comm_gg):
         job = run_spark(spark, comm_gg, 0.85, 9, strategy="split", tau_split=3)
         assert job.n_rounds >= 1

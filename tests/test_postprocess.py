@@ -42,6 +42,22 @@ class TestMaximalOnly:
     def test_matches_reference(self, sets):
         assert maximal_only(sets) == reference(sets)
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.frozensets(st.integers(0, 12), min_size=1, max_size=6),
+                st.integers(0, 3),
+            ),
+            max_size=40,
+        )
+    )
+    def test_filtering_each_part_first_keeps_the_maximal_sets(self, tagged):
+        """The Spark engine filters each partition's candidates before
+        the driver's pass; that must not change the maximal sets."""
+        parts = [[s for s, i in tagged if i == part] for part in range(4)]
+        local = set().union(*(maximal_only(part) for part in parts))
+        assert maximal_only(local) == maximal_only(s for s, _ in tagged)
+
     def test_large_random_matches_reference(self):
         rng = random.Random(0)
         sets = [
