@@ -1,9 +1,10 @@
 """Catalyst-side graph operations over canonical edge tables.
 
-These are the relational building blocks the jobs use for dataset
-statistics (Table 3) and the dataflow baselines (Table 4): everything
-is expressed in the DataFrame API so Catalyst plans the joins, and each
-operation has a DuckDB-oracle test in ``tests/test_spark_ops.py``.
+These are the relational building blocks of the dataflow baselines
+(Table 4): everything is expressed in the DataFrame API so Catalyst
+plans the joins. ``triangle_count`` has a DuckDB-oracle test in
+``tests/test_spark_ops.py``; ``symmetrize`` is checked through the
+baselines in ``tests/test_apps.py``.
 
 Edge tables are canonical: columns ``src < dst``, one row per
 undirected edge, no self-loops.
@@ -17,11 +18,7 @@ from pyspark.sql import functions as F
 __all__ = [
     "to_spark_edges",
     "symmetrize",
-    "degrees",
-    "degree_stats",
     "triangle_count",
-    "kcore_vertices_spark",
-    "two_hop_counts",
 ]
 
 
@@ -42,32 +39,6 @@ def symmetrize(edges: DataFrame) -> DataFrame:
     return fwd.unionAll(rev)
 
 
-def degrees(edges: DataFrame) -> DataFrame:
-    """Per-vertex degree: columns (v, degree)."""
-    return (
-        symmetrize(edges)
-        .groupBy(F.col("u").alias("v"))
-        .agg(F.count("*").alias("degree"))
-    )
-
-
-def degree_stats(edges: DataFrame) -> dict:
-    """|V| (non-isolated), |E|, max and mean degree — the Table 3 row."""
-    deg = degrees(edges)
-    row = deg.agg(
-        F.count("*").alias("nv"),
-        F.max("degree").alias("max_deg"),
-        F.avg("degree").alias("avg_deg"),
-    ).collect()[0]
-    ne = edges.count()
-    return {
-        "num_vertices": int(row["nv"] or 0),
-        "num_edges": int(ne),
-        "max_degree": int(row["max_deg"] or 0),
-        "avg_degree": float(row["avg_deg"] or 0.0),
-    }
-
-
 def triangle_count(edges: DataFrame) -> int:
     """Global triangle count via the oriented 3-way self-join (each
     triangle a<b<c counted exactly once)."""
@@ -77,46 +48,3 @@ def triangle_count(edges: DataFrame) -> int:
     wedges = e1.join(e2, "b")
     tris = wedges.join(e3, ["a", "c"])
     return tris.count()
-
-
-def kcore_vertices_spark(edges: DataFrame, k: int, max_iter: int = 200) -> DataFrame:
-    """Vertices of the k-core via iterative peeling in the DataFrame
-    API: repeatedly drop vertices of degree < k until a fixpoint.
-    Returns a single-column DataFrame (v).
-
-    Each round is ``localCheckpoint``-ed: without truncating lineage the
-    self-referential plan doubles every iteration and Catalyst planning
-    time explodes long before the data does.
-    """
-    cur = edges.localCheckpoint(eager=True)
-    n_cur = cur.count()
-    for _ in range(max_iter):
-        deg = degrees(cur)
-        keep = deg.filter(F.col("degree") >= k).select("v")
-        nxt = (
-            cur.join(keep.withColumnRenamed("v", "src"), "src")
-            .join(keep.withColumnRenamed("v", "dst"), "dst")
-            .select("src", "dst")
-            .localCheckpoint(eager=True)
-        )
-        n_nxt = nxt.count()  # fixpoint when no edge was dropped
-        cur = nxt
-        if n_nxt == n_cur:
-            break
-        n_cur = n_nxt
-    return degrees(cur).filter(F.col("degree") >= k).select("v")
-
-
-def two_hop_counts(edges: DataFrame) -> DataFrame:
-    """|N_2^+(v)| per vertex (self + 1-hop + 2-hop distinct), columns
-    (v, n2plus) — used by the Section 8 two-hop-size prune."""
-    sym = symmetrize(edges)
-    one = sym.select(F.col("u").alias("v"), F.col("v").alias("w"))
-    two = (
-        sym.select(F.col("u").alias("v"), F.col("v").alias("m"))
-        .join(sym.select(F.col("u").alias("m"), F.col("v").alias("w")), "m")
-        .select("v", "w")
-    )
-    selfs = one.select("v").distinct().withColumn("w", F.col("v"))
-    reach = one.unionAll(two).unionAll(selfs).distinct()
-    return reach.groupBy("v").agg(F.count("*").alias("n2plus"))

@@ -6,8 +6,9 @@ Two interchangeable drivers run the same task code
 * :func:`run_serial` — single-threaded reference (the paper's "serial
   mining time"; also the Quick+/Quick comparison harness).
 * :func:`run_spark` — the distributed engine. Each *round* is one
-  ``mapInPandas`` pass over a DataFrame of tasks; child subtasks become
-  the next round's DataFrame. The paper's scheduling redesign maps to:
+  ``mapInPandas`` pass over a DataFrame of tasks; the child subtasks a
+  partition does not mine itself become the next round's DataFrame.
+  The paper's scheduling redesign maps to:
 
   - **big-task prioritization** (global queue Q_global): tasks are
     sorted by estimated cost (|ext(S)|) descending before partitioning,
@@ -16,6 +17,12 @@ Two interchangeable drivers run the same task code
     round-robin over ``parallelism`` partitions (Spark's round-robin
     ``repartition``), spreading big tasks evenly across cores —
     the dataflow analogue of stealing from overloaded machines;
+  - **local queue Q_local** (A_time): after running the task rows it
+    was dealt, a partition pops the subtasks its timeouts spawned LIFO
+    and mines them, pushing their children, until τ_time × (its task
+    rows) has passed since it started. Only what is still on its stack
+    then goes back to the driver, i.e. to Q_global and the next round.
+    A_base and A_split ship every subtask they create;
   - the **old engine** (pre-redesign, for Table 4's G-thinker column)
     is the same loop with prioritization off (spawn-order FIFO).
 
@@ -33,6 +40,7 @@ Two interchangeable drivers run the same task code
 from __future__ import annotations
 
 import json
+import logging
 import sys
 import time
 from dataclasses import dataclass, field
@@ -48,6 +56,8 @@ from ..graphs.global_graph import GlobalGraph
 from .tasks import run_task
 
 __all__ = ["JobResult", "run_serial", "run_spark", "spawn_all"]
+
+_log = logging.getLogger(__name__)
 
 # Task rows carry global vertex ids: a root row holds its spawn vertex in
 # ``s``; a subtask row holds S and ext(S). Output rows add a JSON
@@ -76,7 +86,7 @@ class JobResult:
     postprocess_time: float = 0.0
     worker_filter_time: float = 0.0  # sum of per-partition filter time
     n_root_tasks: int = 0
-    n_subtasks: int = 0
+    n_subtasks: int = 0  # every subtask created, drained on a worker or shipped
     n_rounds: int = 0
     stats: MineStats = field(default_factory=MineStats)
     task_features: pd.DataFrame | None = None  # Tables 1–2 per-task rows
@@ -217,6 +227,57 @@ def _ids(cell) -> list[int]:
     return cell.tolist() if isinstance(cell, np.ndarray) else list(cell)
 
 
+def _mine_rows(
+    g_all: GlobalGraph, alive, rank, rows, gamma, tau_size: int,
+    deadline: float, *, collect_task_features: bool = False, **kw,
+) -> list[tuple]:
+    """One Spark partition's work in a round: run the ``(kind, s, ext)``
+    task rows it was dealt, then drain its own subtasks (Q_local) LIFO
+    until ``deadline`` (a ``perf_counter`` time) has passed. Returns the
+    output rows: the partition's locally maximal candidates, the
+    subtasks still on its stack, one stats row and any feature rows.
+
+    Root rows carry only the spawn vertex id; the ego-net task subgraph
+    is rebuilt from ``g_all`` (counted as materialization, like
+    G-thinker's frontier pulls)."""
+    acc = JobResult()  # accumulates this partition's outcomes
+    stack: list[tuple[frozenset, frozenset]] = []
+    feat_rows = []
+    for kind, s_ids, e_ids in rows:
+        t_task0 = time.perf_counter()
+        if kind == "root":
+            t0 = time.perf_counter()
+            task = g_all.spawn_task(int(s_ids[0]), rank, alive, gamma, tau_size)
+            acc.materialize_time += time.perf_counter() - t0
+            if task is None:
+                continue
+            out = run_task(task.graph, task.ids, task.s_mask, task.ext_mask,
+                           gamma, tau_size, **kw)
+            if collect_task_features:
+                feat_rows.append(_features_row(task, out, time.perf_counter() - t_task0))
+        else:
+            out = _run_subtask(g_all, _ids(s_ids), _ids(e_ids), gamma, tau_size, **kw)
+        stack.extend(_merge_outcome(acc, out))
+    while stack and time.perf_counter() < deadline:
+        s_set, ext_set = stack.pop()
+        out = _run_subtask(g_all, s_set, ext_set, gamma, tau_size, **kw)
+        stack.extend(_merge_outcome(acc, out))
+    # A candidate strictly inside another candidate is not maximal, so
+    # dropping it here never loses a global maximal set; the driver's
+    # final pass removes what other partitions dominate. (maximal_only,
+    # not timed_maximal_only: tracers patch the latter on the driver.)
+    t0 = time.perf_counter()
+    kept = maximal_only(acc.results)
+    filter_t = time.perf_counter() - t0
+    stat = {"mine": acc.mine_time, "mat": acc.materialize_time, "filter": filter_t,
+            "drained": acc.n_subtasks - len(stack), "stats": acc.stats.__dict__}
+    out_rows = [("res", list(s), None, None) for s in kept]
+    out_rows += [("sub", list(s), list(e), None) for s, e in stack]
+    out_rows.append(("stat", None, None, json.dumps(stat)))
+    out_rows += [("feat", None, None, json.dumps(fr)) for fr in feat_rows]
+    return out_rows
+
+
 def run_spark(
     spark,
     gg: GlobalGraph,
@@ -247,64 +308,22 @@ def run_spark(
     gam = make_gamma(gamma)
 
     def mine_partition(pdf_iter):
-        """mapInPandas worker: run every task row, then ship the
-        partition's locally maximal results, its subtasks, one stats row
-        and any feature rows. Root rows carry only the spawn vertex id;
-        the worker rebuilds the ego-net task subgraph from the broadcast
-        graph (counted as materialization, like G-thinker's frontier
-        pulls)."""
+        """mapInPandas worker: :func:`_mine_rows` over the partition's
+        rows. Under A_time the partition may drain its subtasks for
+        τ_time per task row it was dealt: the time its tasks were
+        granted, so what they did not use goes to their children."""
         sys.setrecursionlimit(20000)
         g_all, alive, rank = bc.value
-        results = []
-        subtasks = []
-        mine_t = 0.0
-        mat_t = 0.0
-        stats = MineStats()
-        feat_rows = []
-        for pdf in pdf_iter:
-            for kind, s_ids, e_ids in zip(pdf["kind"], pdf["s"], pdf["ext"]):
-                t_task0 = time.perf_counter()
-                if kind == "root":
-                    t0 = time.perf_counter()
-                    task = g_all.spawn_task(int(s_ids[0]), rank, alive, gam, tau_size)
-                    mat_t += time.perf_counter() - t0
-                    if task is None:
-                        continue
-                    out = run_task(
-                        task.graph, task.ids, task.s_mask, task.ext_mask,
-                        gam, tau_size, **kw,
-                    )
-                    if collect_task_features:
-                        feat_rows.append(
-                            _features_row(task, out, time.perf_counter() - t_task0)
-                        )
-                else:
-                    out = _run_subtask(
-                        g_all, _ids(s_ids), _ids(e_ids), gam, tau_size, **kw
-                    )
-                mine_t += out.mine_time
-                mat_t += out.materialize_time
-                stats.merge(out.stats)
-                results.extend(out.results)
-                subtasks.extend(out.subtasks)
-        # A candidate strictly inside another candidate is not maximal,
-        # so dropping it here never loses a global maximal set; the
-        # driver's final pass removes what other partitions dominate.
-        # (maximal_only, not the module's timed_maximal_only: tracers
-        # patch the latter on the driver, and the closure ships globals.)
-        t0 = time.perf_counter()
-        kept = maximal_only(results)
-        filter_t = time.perf_counter() - t0
-        stat = {"mine": mine_t, "mat": mat_t, "filter": filter_t,
-                "stats": stats.__dict__}
-        rows = [("res", list(s), None, None) for s in kept]
-        rows += [("sub", list(s), list(e), None) for s, e in subtasks]
-        rows.append(("stat", None, None, json.dumps(stat)))
-        rows += [("feat", None, None, json.dumps(fr)) for fr in feat_rows]
-        yield pd.DataFrame(rows, columns=["kind", "s", "ext", "payload"])
+        rows = [r for pdf in pdf_iter for r in zip(pdf["kind"], pdf["s"], pdf["ext"])]
+        budget = tau_time * len(rows) if strategy == "time" else 0.0
+        deadline = time.perf_counter() + budget
+        out_rows = _mine_rows(g_all, alive, rank, rows, gam, tau_size, deadline,
+                              collect_task_features=collect_task_features, **kw)
+        yield pd.DataFrame(out_rows, columns=["kind", "s", "ext", "payload"])
 
     # Round 0: root tasks, biggest estimated subgraphs first when
-    # prioritizing (degree is the a-priori cost signal for a spawn).
+    # prioritizing. The cost of a root is its |ext| after spawn_task's
+    # k-core shrink of the two-hop ego net; of a subtask, its |ext|.
     pending = pd.DataFrame({
         "kind": "root",
         "s": [[t.root] for t in roots],
@@ -314,6 +333,8 @@ def run_spark(
     feat_frames = []
     while not pending.empty:
         job.n_rounds += 1
+        t_round = time.perf_counter()
+        n_in = len(pending)
         if prioritize_big:
             pending = pending.sort_values("cost", ascending=False, kind="stable")
         tasks_df = (
@@ -323,7 +344,8 @@ def run_spark(
         )
         out_pdf = tasks_df.mapInPandas(mine_partition, schema=_ROW_SCHEMA).toPandas()
         kind = out_pdf["kind"]
-        job.results.update(frozenset(_ids(s)) for s in out_pdf["s"][kind == "res"])
+        res = out_pdf["s"][kind == "res"]
+        job.results.update(frozenset(_ids(s)) for s in res)
         subs = out_pdf[kind == "sub"]
         pending = pd.DataFrame({
             "kind": "sub",
@@ -331,14 +353,24 @@ def run_spark(
             "ext": [_ids(e) for e in subs["ext"]],
             "cost": [len(e) for e in subs["ext"]],
         })
-        job.n_subtasks += len(pending)
+        drained = 0
+        part_mine = []
         for payload in out_pdf["payload"][kind == "stat"]:
             st = json.loads(payload)
+            drained += st["drained"]
+            part_mine.append(st["mine"])
             job.mine_time += st["mine"]
             job.materialize_time += st["mat"]
             job.worker_filter_time += st["filter"]
             job.stats.merge(MineStats(**st["stats"]))
+        job.n_subtasks += drained + len(pending)
         feat_frames += [json.loads(p) for p in out_pdf["payload"][kind == "feat"]]
+        _log.info(
+            "round %d: %d task rows in, %d subtasks drained, %d shipped, "
+            "%d result rows, %.3f s wall, partition mining max %.3f / min %.3f s",
+            job.n_rounds, n_in, drained, len(pending), len(res),
+            time.perf_counter() - t_round, max(part_mine), min(part_mine),
+        )
     bc.unpersist()
     job.maximal, job.postprocess_time = timed_maximal_only(job.results)
     job.job_time = time.perf_counter() - t_start

@@ -57,7 +57,7 @@ class TestStrategiesAgree:
 
     def test_subtask_counters(self, comm_gg):
         job = run_serial(comm_gg, 0.85, 8, strategy="split", tau_split=1)
-        assert job.n_subtasks >= 0
+        assert job.n_subtasks == job.stats.n_subtasks > 0
         assert job.mine_time > 0
         assert job.job_time >= job.mine_time * 0  # sanity: fields populated
 

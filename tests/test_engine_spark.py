@@ -1,14 +1,23 @@
 """Distributed engine (run_spark) vs serial ground truth and brute force."""
+import json
+import logging
+import math
 import random
 
 import pytest
 
 from repro.core.brute import brute_force_maximal
+from repro.core.gamma import make_gamma
 from repro.core.graph import LocalGraph
+from repro.core.postprocess import maximal_only
+from repro.core.quickplus import QUICK_PLUS
 from repro.graphs.datasets import load_dataset
 from repro.graphs.generators import edges_pdf, planted_community_graph
 from repro.graphs.global_graph import GlobalGraph
-from repro.gthinker.engine import run_serial, run_spark
+from repro.gthinker.engine import (
+    _mine_rows, _mining_order, run_serial, run_spark, spawn_all,
+)
+from repro.gthinker.tasks import run_task
 
 
 def make_case(seed):
@@ -90,9 +99,37 @@ class TestSparkEngine:
         )
         assert job.worker_filter_time > 0
 
-    def test_rounds_and_stats_populated(self, spark, comm_gg):
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_time_with_local_drain_matches_serial_base(
+        self, spark, comm_gg, parallelism
+    ):
+        serial = run_serial(comm_gg, 0.85, 9, strategy="base")
+        job = run_spark(spark, comm_gg, 0.85, 9, strategy="time",
+                        tau_time=0.001, parallelism=parallelism)
+        assert job.maximal == serial.maximal
+        assert job.n_subtasks == job.stats.n_subtasks
+
+    @pytest.mark.parametrize("strategy,kw", [
+        ("base", {}),
+        ("split", dict(tau_split=5)),
+        ("time", dict(tau_time=0.001)),
+    ])
+    def test_n_subtasks_counts_every_subtask_created(
+        self, spark, comm_gg, strategy, kw
+    ):
+        """Drained subtasks count as well as shipped ones."""
+        for job in (run_serial(comm_gg, 0.85, 9, strategy=strategy, **kw),
+                    run_spark(spark, comm_gg, 0.85, 9, strategy=strategy, **kw)):
+            assert job.n_subtasks == job.stats.n_subtasks
+
+    def test_rounds_and_stats_populated(self, spark, comm_gg, caplog):
+        caplog.set_level(logging.INFO, logger="repro.gthinker.engine")
         job = run_spark(spark, comm_gg, 0.85, 9, strategy="split", tau_split=3)
         assert job.n_rounds >= 1
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "repro.gthinker.engine"]
+        assert len(lines) == job.n_rounds  # one line per round
+        assert lines[0].startswith("round 1: ")
         assert job.mine_time > 0
         assert job.n_root_tasks > 0
 
@@ -101,6 +138,46 @@ class TestSparkEngine:
                         collect_task_features=True)
         assert job.task_features is not None
         assert len(job.task_features) == job.n_root_tasks
+
+
+class TestLocalDrain:
+    """One partition's body, run in-process on every root task at
+    τ_time = 0, where each task decomposes the same way on every run."""
+
+    KW = dict(strategy="time", tau_split=50, tau_time=0.0, cfg=QUICK_PLUS)
+
+    @pytest.fixture(scope="class")
+    def partition(self, comm_gg):
+        pruned, roots = spawn_all(comm_gg, 0.85, 9)
+        alive, rank, _ = _mining_order(pruned, QUICK_PLUS)
+        rows = [("root", [t.root], []) for t in roots]
+        return pruned, alive, rank, roots, rows
+
+    def mine(self, partition, deadline):
+        pruned, alive, rank, _, rows = partition
+        out = _mine_rows(pruned, alive, rank, rows, make_gamma(0.85), 9,
+                         deadline, **self.KW)
+        by_kind = {k: [r for r in out if r[0] == k] for k in ("res", "sub", "stat")}
+        return by_kind, json.loads(by_kind["stat"][0][3])
+
+    def test_unbounded_drain_ships_no_subtask(self, partition, comm_gg):
+        rows, stat = self.mine(partition, math.inf)
+        assert rows["sub"] == []
+        assert stat["drained"] == stat["stats"]["n_subtasks"] > 0
+        found = maximal_only(frozenset(r[1]) for r in rows["res"])
+        assert found == run_serial(comm_gg, 0.85, 9, strategy="base").maximal
+
+    def test_past_deadline_ships_what_run_task_returns(self, partition):
+        rows, stat = self.mine(partition, 0)
+        assert stat["drained"] == 0
+        expect = set()
+        for t in partition[3]:
+            out = run_task(t.graph, t.ids, t.s_mask, t.ext_mask,
+                           make_gamma(0.85), 9, **self.KW)
+            expect.update(out.subtasks)
+        shipped = [(frozenset(r[1]), frozenset(r[2])) for r in rows["sub"]]
+        assert len(shipped) == len(expect) > 0
+        assert set(shipped) == expect
 
 
 def test_spark_small_dataset_matches_serial(spark):
