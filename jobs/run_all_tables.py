@@ -1,10 +1,13 @@
 #!/usr/bin/env python
-"""Run every table harness at full stand-in scale and save the results.
+"""Run the table harnesses at full stand-in scale and save the results.
 
 This is the script that produced the "measured" columns in
-EXPERIMENTS.md. Each table's DataFrame is written to results/*.csv.
+EXPERIMENTS.md. Each table's DataFrame is written to results/*.csv, so
+running one table rewrites that table's files.
 
 Usage: python jobs/run_all_tables.py [table ...]   (default: all)
+       spark-submit jobs/run_all_tables.py t07     (one table)
+Table keys: t01 ... t16 (t12, t13, t14 are Patent, YouTube, Hyves).
 """
 import os
 import sys

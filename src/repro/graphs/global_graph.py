@@ -44,14 +44,17 @@ class GlobalGraph:
     @classmethod
     def from_edges(cls, edges) -> "GlobalGraph":
         """``edges``: iterable of (u, v) pairs or a pandas DataFrame with
-        columns src/dst. Vertex ids must be 0..n-1 (n inferred)."""
+        columns src/dst. Vertex ids must be 0..n-1 (n inferred); a
+        negative or non-integer id raises ``ValueError``."""
         if isinstance(edges, pd.DataFrame):
-            pairs = zip(edges["src"].astype(int), edges["dst"].astype(int))
+            ends = edges[["src", "dst"]].to_numpy()
         else:
-            pairs = edges
+            ends = np.asarray(list(edges))
+        if ends.size and (ends.dtype.kind not in "iu" or ends.min() < 0):
+            raise ValueError(f"vertex ids must be integers >= 0 (got {ends.dtype} ids)")
         adj: dict[int, set[int]] = {}
         hi = -1
-        for u, v in pairs:
+        for u, v in ends.tolist():
             if u == v:
                 continue
             hi = max(hi, u, v)

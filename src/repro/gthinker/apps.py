@@ -20,8 +20,7 @@ from ..core.bitset import bits, mask_of
 from ..core.maxclique import max_clique
 from ..graphs.global_graph import GlobalGraph
 
-__all__ = ["AppResult", "triangle_count_tasks", "max_clique_tasks",
-           "square_count_tasks", "run_app_spark", "run_app_serial"]
+__all__ = ["AppResult", "run_app_spark", "run_app_serial"]
 
 
 @dataclass

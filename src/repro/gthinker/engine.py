@@ -1,30 +1,24 @@
 """The redesigned G-thinker execution engine, reproduced on PySpark.
 
-Two interchangeable drivers run the same task code
-(:func:`repro.gthinker.tasks.run_task`):
+As in G-thinker, every task runs through one compute loop
+(``_task_loop``). It keeps the pending task rows, the global queue
+Q_global, and sorts them by estimated cost (|ext(S)|) descending before
+each round, so the biggest tasks start first (big-task prioritization).
+A *round executor* runs the round; inside it :func:`_mine_rows` is the
+only code that runs tasks (:func:`repro.gthinker.tasks.run_task`):
+after the task rows it was dealt, it pops the subtasks they spawned
+LIFO (the local queue Q_local) and mines them, pushing their children,
+until its deadline. What is left on its stack goes back to Q_global.
 
 * :func:`run_serial` — single-threaded reference (the paper's "serial
-  mining time"; also the Quick+/Quick comparison harness).
-* :func:`run_spark` — the distributed engine. Each *round* is one
-  ``mapInPandas`` pass over a DataFrame of tasks; the child subtasks a
-  partition does not mine itself become the next round's DataFrame.
-  The paper's scheduling redesign maps to:
-
-  - **big-task prioritization** (global queue Q_global): tasks are
-    sorted by estimated cost (|ext(S)|) descending before partitioning,
-    so every partition starts with its biggest tasks;
-  - **task stealing / load balancing**: the sorted tasks are dealt
-    round-robin over ``parallelism`` partitions (Spark's round-robin
-    ``repartition``), spreading big tasks evenly across cores —
-    the dataflow analogue of stealing from overloaded machines;
-  - **local queue Q_local** (A_time): after running the task rows it
-    was dealt, a partition pops the subtasks its timeouts spawned LIFO
-    and mines them, pushing their children, until τ_time × (its task
-    rows) has passed since it started. Only what is still on its stack
-    then goes back to the driver, i.e. to Q_global and the next round.
-    A_base and A_split ship every subtask they create;
-  - the **old engine** (pre-redesign, for Table 4's G-thinker column)
-    is the same loop with prioritization off (spawn-order FIFO).
+  mining time"; also the Quick+/Quick comparison harness): the round
+  runs in-process with no deadline, so one round drains every subtask.
+* :func:`run_spark` — the distributed engine: a round is one
+  ``mapInPandas`` pass over a DataFrame of tasks, dealt round-robin
+  over ``parallelism`` partitions (Spark's round-robin ``repartition``)
+  so big tasks spread evenly across cores — the dataflow analogue of
+  task stealing. Under A_time a partition drains for τ_time × (its
+  task rows) from its start; A_base and A_split ship every subtask.
 
   The k-core-pruned input graph is shipped once per executor as a
   broadcast (the analogue of G-thinker's distributed vertex store +
@@ -41,9 +35,12 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import sys
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -53,7 +50,7 @@ from ..core.gamma import make_gamma
 from ..core.postprocess import maximal_only, timed_maximal_only
 from ..core.quickplus import QUICK_PLUS, MineConfig, MineStats
 from ..graphs.global_graph import GlobalGraph
-from .tasks import run_task
+from .tasks import STRATEGIES, run_task
 
 __all__ = ["JobResult", "run_serial", "run_spark", "spawn_all"]
 
@@ -87,7 +84,7 @@ class JobResult:
     worker_filter_time: float = 0.0  # sum of per-partition filter time
     n_root_tasks: int = 0
     n_subtasks: int = 0  # every subtask created, drained on a worker or shipped
-    n_rounds: int = 0
+    n_rounds: int = 0  # serial path: 1 whenever there are root tasks
     stats: MineStats = field(default_factory=MineStats)
     task_features: pd.DataFrame | None = None  # Tables 1–2 per-task rows
 
@@ -159,44 +156,6 @@ def _run_subtask(pruned: GlobalGraph, s_set, ext_set, gamma, tau_size, **kw):
     return out
 
 
-def run_serial(
-    gg: GlobalGraph,
-    gamma,
-    tau_size: int,
-    *,
-    strategy: str = "base",
-    tau_split: int = 50,
-    tau_time: float = 1.0,
-    cfg: MineConfig = QUICK_PLUS,
-    collect_task_features: bool = False,
-) -> JobResult:
-    """Single-threaded engine: process root tasks in order, then drain
-    the subtask queue FIFO. Ground truth for the distributed runs."""
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
-    job = JobResult()
-    t_start = time.perf_counter()
-    pruned, roots = spawn_all(gg, gamma, tau_size, cfg)
-    job.n_root_tasks = len(roots)
-    kw = dict(strategy=strategy, tau_split=tau_split, tau_time=tau_time, cfg=cfg)
-    feats = []
-    queue: list[tuple[frozenset, frozenset]] = []
-    for t in roots:
-        t0 = time.perf_counter()
-        out = run_task(t.graph, t.ids, t.s_mask, t.ext_mask, gamma, tau_size, **kw)
-        queue.extend(_merge_outcome(job, out))
-        if collect_task_features:
-            feats.append(_features_row(t, out, time.perf_counter() - t0))
-    while queue:
-        s_set, ext_set = queue.pop(0)
-        out = _run_subtask(pruned, s_set, ext_set, gamma, tau_size, **kw)
-        queue.extend(_merge_outcome(job, out))
-    job.maximal, job.postprocess_time = timed_maximal_only(job.results)
-    job.job_time = time.perf_counter() - t_start
-    if collect_task_features:
-        job.task_features = pd.DataFrame(feats)
-    return job
-
-
 def _features_row(task, outcome, elapsed: float) -> dict:
     """Per-task subgraph features of Tables 1–2."""
     g = task.graph
@@ -220,7 +179,6 @@ def _features_row(task, outcome, elapsed: float) -> dict:
     }
 
 
-# --------------------------------------------------------------- spark
 def _ids(cell) -> list[int]:
     """Python ints from an ``array<bigint>`` cell: a numpy array under
     Arrow, a list otherwise. numpy ints must not reach the bitmasks."""
@@ -230,16 +188,17 @@ def _ids(cell) -> list[int]:
 def _mine_rows(
     g_all: GlobalGraph, alive, rank, rows, gamma, tau_size: int,
     deadline: float, *, collect_task_features: bool = False, **kw,
-) -> list[tuple]:
-    """One Spark partition's work in a round: run the ``(kind, s, ext)``
-    task rows it was dealt, then drain its own subtasks (Q_local) LIFO
-    until ``deadline`` (a ``perf_counter`` time) has passed. Returns the
-    output rows: the partition's locally maximal candidates, the
-    subtasks still on its stack, one stats row and any feature rows.
+) -> tuple[set, list, dict, list]:
+    """One partition's work in a round: run the ``(kind, s, ext)`` task
+    rows it was dealt, then drain its own subtasks (Q_local) LIFO until
+    ``deadline`` (a ``perf_counter`` time) has passed. Returns the
+    candidates found, the ``(S, ext)`` subtasks still on its stack, a
+    stats dict and the feature rows.
 
     Root rows carry only the spawn vertex id; the ego-net task subgraph
     is rebuilt from ``g_all`` (counted as materialization, like
     G-thinker's frontier pulls)."""
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     acc = JobResult()  # accumulates this partition's outcomes
     stack: list[tuple[frozenset, frozenset]] = []
     feat_rows = []
@@ -262,20 +221,88 @@ def _mine_rows(
         s_set, ext_set = stack.pop()
         out = _run_subtask(g_all, s_set, ext_set, gamma, tau_size, **kw)
         stack.extend(_merge_outcome(acc, out))
-    # A candidate strictly inside another candidate is not maximal, so
-    # dropping it here never loses a global maximal set; the driver's
-    # final pass removes what other partitions dominate. (maximal_only,
-    # not timed_maximal_only: tracers patch the latter on the driver.)
-    t0 = time.perf_counter()
-    kept = maximal_only(acc.results)
-    filter_t = time.perf_counter() - t0
-    stat = {"mine": acc.mine_time, "mat": acc.materialize_time, "filter": filter_t,
+    stat = {"mine": acc.mine_time, "mat": acc.materialize_time,
             "drained": acc.n_subtasks - len(stack), "stats": acc.stats.__dict__}
-    out_rows = [("res", list(s), None, None) for s in kept]
-    out_rows += [("sub", list(s), list(e), None) for s, e in stack]
-    out_rows.append(("stat", None, None, json.dumps(stat)))
-    out_rows += [("feat", None, None, json.dumps(fr)) for fr in feat_rows]
-    return out_rows
+    return acc.results, stack, stat, feat_rows
+
+
+def _task_loop(gg: GlobalGraph, gamma, tau_size: int, rounds, *, strategy: str,
+               cfg: MineConfig, collect_task_features: bool, **kw) -> JobResult:
+    """The task loop both engines share. ``rounds(graph, mine)`` is a
+    context manager yielding the round executor: given a round's sorted
+    ``(kind, s, ext)`` rows, it runs ``mine(*graph, rows, deadline=...)``,
+    i.e. :func:`_mine_rows`, on them and returns the candidates, the
+    ``(S, ext)`` subtasks left, one stats dict per partition and the
+    feature rows."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    job = JobResult()
+    t_start = time.perf_counter()
+    pruned, roots = spawn_all(gg, gamma, tau_size, cfg)
+    job.n_root_tasks = len(roots)
+    alive, rank, _ = _mining_order(pruned, cfg)
+    mine = partial(_mine_rows, gamma=make_gamma(gamma), tau_size=tau_size, strategy=strategy,
+                   cfg=cfg, collect_task_features=collect_task_features, **kw)
+    # Q_global: (cost, kind, s, ext) rows, biggest cost first. Round 0
+    # holds the roots; a root's cost is its |ext| after spawn_task's
+    # k-core shrink of the two-hop ego net, a subtask's is its |ext|.
+    pending = [(t.ext_mask.bit_count(), "root", [t.root], []) for t in roots]
+    feats = []
+    with rounds((pruned, alive, rank), mine) as run_round:
+        while pending:
+            job.n_rounds += 1
+            t_round = time.perf_counter()
+            pending.sort(key=lambda row: row[0], reverse=True)  # stable
+            cands, subs, part_stats, feat_rows = run_round([row[1:] for row in pending])
+            job.results.update(cands)
+            for st in part_stats:
+                job.mine_time += st["mine"]
+                job.materialize_time += st["mat"]
+                job.worker_filter_time += st.get("filter", 0.0)
+                job.stats.merge(MineStats(**st["stats"]))
+            drained = sum(st["drained"] for st in part_stats)
+            job.n_subtasks += drained + len(subs)
+            feats += feat_rows
+            part_mine = [st["mine"] for st in part_stats]
+            _log.info(
+                "round %d: %d task rows in, %d subtasks drained, %d shipped, "
+                "%d result rows, %.3f s wall, partition mining max %.3f / min %.3f s",
+                job.n_rounds, len(pending), drained, len(subs), len(cands),
+                time.perf_counter() - t_round, max(part_mine), min(part_mine),
+            )
+            pending = [(len(e), "sub", s, e) for s, e in subs]
+    job.maximal, job.postprocess_time = timed_maximal_only(job.results)
+    job.job_time = time.perf_counter() - t_start
+    if collect_task_features:
+        job.task_features = pd.DataFrame(feats)
+    return job
+
+
+def run_serial(
+    gg: GlobalGraph,
+    gamma,
+    tau_size: int,
+    *,
+    strategy: str = "base",
+    tau_split: int = 50,
+    tau_time: float = 1.0,
+    cfg: MineConfig = QUICK_PLUS,
+    collect_task_features: bool = False,
+) -> JobResult:
+    """Single-threaded engine: the shared task loop with its round run
+    in-process, with no deadline and no candidate filter. So one round
+    drains every subtask LIFO and ``results`` holds every candidate.
+    Ground truth for the distributed runs."""
+
+    def in_process(graph, mine):
+        def run_round(rows):
+            cands, stack, stat, feat_rows = mine(*graph, rows, deadline=math.inf)
+            return cands, stack, [stat], feat_rows
+        return nullcontext(run_round)
+
+    return _task_loop(gg, gamma, tau_size, in_process, strategy=strategy,
+                      tau_split=tau_split, tau_time=tau_time, cfg=cfg,
+                      collect_task_features=collect_task_features)
 
 
 def run_spark(
@@ -289,91 +316,59 @@ def run_spark(
     tau_time: float = 1.0,
     cfg: MineConfig = QUICK_PLUS,
     parallelism: int | None = None,
-    prioritize_big: bool = True,
     collect_task_features: bool = False,
 ) -> JobResult:
     """Distributed engine (see module docstring for the mapping)."""
     sc = spark.sparkContext
     n_part = parallelism or sc.defaultParallelism
-    job = JobResult()
-    t_start = time.perf_counter()
-    pruned, roots = spawn_all(gg, gamma, tau_size, cfg)
-    job.n_root_tasks = len(roots)
-    if not roots:
-        job.job_time = time.perf_counter() - t_start
-        return job
-    alive, rank, _ = _mining_order(pruned, cfg)
-    bc = sc.broadcast((pruned, alive, rank))
-    kw = dict(strategy=strategy, tau_split=tau_split, tau_time=tau_time, cfg=cfg)
-    gam = make_gamma(gamma)
 
-    def mine_partition(pdf_iter):
-        """mapInPandas worker: :func:`_mine_rows` over the partition's
-        rows. Under A_time the partition may drain its subtasks for
-        τ_time per task row it was dealt: the time its tasks were
-        granted, so what they did not use goes to their children."""
-        sys.setrecursionlimit(20000)
-        g_all, alive, rank = bc.value
-        rows = [r for pdf in pdf_iter for r in zip(pdf["kind"], pdf["s"], pdf["ext"])]
-        budget = tau_time * len(rows) if strategy == "time" else 0.0
-        deadline = time.perf_counter() + budget
-        out_rows = _mine_rows(g_all, alive, rank, rows, gam, tau_size, deadline,
-                              collect_task_features=collect_task_features, **kw)
-        yield pd.DataFrame(out_rows, columns=["kind", "s", "ext", "payload"])
+    @contextmanager
+    def on_spark(graph, mine):
+        bc = sc.broadcast(graph)
 
-    # Round 0: root tasks, biggest estimated subgraphs first when
-    # prioritizing. The cost of a root is its |ext| after spawn_task's
-    # k-core shrink of the two-hop ego net; of a subtask, its |ext|.
-    pending = pd.DataFrame({
-        "kind": "root",
-        "s": [[t.root] for t in roots],
-        "ext": [[] for _ in roots],
-        "cost": [t.ext_mask.bit_count() for t in roots],
-    })
-    feat_frames = []
-    while not pending.empty:
-        job.n_rounds += 1
-        t_round = time.perf_counter()
-        n_in = len(pending)
-        if prioritize_big:
-            pending = pending.sort_values("cost", ascending=False, kind="stable")
-        tasks_df = (
-            spark.createDataFrame(pending[["kind", "s", "ext"]], schema=_TASK_SCHEMA)
-            .coalesce(1)  # single input partition => exact round-robin deal
-            .repartition(min(n_part, max(1, len(pending))))
-        )
-        out_pdf = tasks_df.mapInPandas(mine_partition, schema=_ROW_SCHEMA).toPandas()
-        kind = out_pdf["kind"]
-        res = out_pdf["s"][kind == "res"]
-        job.results.update(frozenset(_ids(s)) for s in res)
-        subs = out_pdf[kind == "sub"]
-        pending = pd.DataFrame({
-            "kind": "sub",
-            "s": [_ids(s) for s in subs["s"]],
-            "ext": [_ids(e) for e in subs["ext"]],
-            "cost": [len(e) for e in subs["ext"]],
-        })
-        drained = 0
-        part_mine = []
-        for payload in out_pdf["payload"][kind == "stat"]:
-            st = json.loads(payload)
-            drained += st["drained"]
-            part_mine.append(st["mine"])
-            job.mine_time += st["mine"]
-            job.materialize_time += st["mat"]
-            job.worker_filter_time += st["filter"]
-            job.stats.merge(MineStats(**st["stats"]))
-        job.n_subtasks += drained + len(pending)
-        feat_frames += [json.loads(p) for p in out_pdf["payload"][kind == "feat"]]
-        _log.info(
-            "round %d: %d task rows in, %d subtasks drained, %d shipped, "
-            "%d result rows, %.3f s wall, partition mining max %.3f / min %.3f s",
-            job.n_rounds, n_in, drained, len(pending), len(res),
-            time.perf_counter() - t_round, max(part_mine), min(part_mine),
-        )
-    bc.unpersist()
-    job.maximal, job.postprocess_time = timed_maximal_only(job.results)
-    job.job_time = time.perf_counter() - t_start
-    if collect_task_features:
-        job.task_features = pd.DataFrame(feat_frames)
-    return job
+        def mine_partition(pdf_iter):
+            """mapInPandas worker. Under A_time the partition drains for
+            the time its task rows were granted and did not use."""
+            rows = [r for pdf in pdf_iter for r in zip(pdf["kind"], pdf["s"], pdf["ext"])]
+            budget = tau_time * len(rows) if strategy == "time" else 0.0
+            deadline = time.perf_counter() + budget
+            cands, stack, stat, feat_rows = mine(*bc.value, rows, deadline=deadline)
+            # A candidate strictly inside another candidate is not
+            # maximal, so dropping it here never loses a global maximal
+            # set; the driver's final pass removes what other partitions
+            # dominate. (maximal_only, not timed_maximal_only: tracers
+            # patch the latter on the driver.)
+            t0 = time.perf_counter()
+            kept = maximal_only(cands)
+            stat["filter"] = time.perf_counter() - t0
+            out_rows = [("res", list(s), None, None) for s in kept]
+            out_rows += [("sub", list(s), list(e), None) for s, e in stack]
+            out_rows.append(("stat", None, None, json.dumps(stat)))
+            out_rows += [("feat", None, None, json.dumps(fr)) for fr in feat_rows]
+            yield pd.DataFrame(out_rows, columns=["kind", "s", "ext", "payload"])
+
+        def run_round(rows):
+            pdf = pd.DataFrame(rows, columns=["kind", "s", "ext"])
+            tasks_df = (
+                spark.createDataFrame(pdf, schema=_TASK_SCHEMA)
+                .coalesce(1)  # single input partition => exact round-robin deal
+                .repartition(min(n_part, len(rows)))
+            )
+            out = tasks_df.mapInPandas(mine_partition, schema=_ROW_SCHEMA).toPandas()
+            kind = out["kind"]
+            subs = out[kind == "sub"]
+            return (
+                [frozenset(_ids(s)) for s in out["s"][kind == "res"]],
+                [(_ids(s), _ids(e)) for s, e in zip(subs["s"], subs["ext"])],
+                [json.loads(p) for p in out["payload"][kind == "stat"]],
+                [json.loads(p) for p in out["payload"][kind == "feat"]],
+            )
+
+        try:
+            yield run_round
+        finally:
+            bc.unpersist()
+
+    return _task_loop(gg, gamma, tau_size, on_spark, strategy=strategy,
+                      tau_split=tau_split, tau_time=tau_time, cfg=cfg,
+                      collect_task_features=collect_task_features)

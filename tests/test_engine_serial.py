@@ -1,4 +1,7 @@
 """Serial engine driver invariants (repro/gthinker/engine.py)."""
+import logging
+import re
+
 import pytest
 
 from repro.core.quickplus import MineConfig
@@ -41,6 +44,36 @@ class TestSpawnAll:
         with pytest.raises(ValueError, match="gamma"):
             run_serial(cycle, 0.4, 6)
         assert run_serial(cycle, 0.5, 6).maximal == set()
+
+
+class TestTaskLoop:
+    def test_unknown_strategy_refused(self, comm_gg):
+        rootless = GlobalGraph.from_edges([(0, 1)])
+        for gg in (rootless, comm_gg):
+            with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+                run_serial(gg, 0.85, 8, strategy="bogus")
+
+    @pytest.mark.parametrize("strategy,kw", [
+        ("base", {}), ("split", dict(tau_split=1)), ("time", dict(tau_time=0.0)),
+    ])
+    def test_one_round_logged_like_spark(self, comm_gg, caplog, strategy, kw):
+        """The in-process round drains every subtask, so a serial job is
+        one round of the shared loop and logs one round line."""
+        caplog.set_level(logging.INFO, logger="repro.gthinker.engine")
+        job = run_serial(comm_gg, 0.85, 8, strategy=strategy, **kw)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "repro.gthinker.engine"]
+        assert job.n_rounds == 1
+        assert len(lines) == 1
+        m = re.fullmatch(
+            r"round 1: (\d+) task rows in, (\d+) subtasks drained, 0 shipped, "
+            r"(\d+) result rows, [\d.]+ s wall, "
+            r"partition mining max ([\d.]+) / min ([\d.]+) s", lines[0])
+        assert m is not None, lines[0]
+        assert int(m[1]) == job.n_root_tasks
+        assert int(m[2]) == job.n_subtasks
+        assert int(m[3]) == job.n_results
+        assert m[4] == m[5]  # one partition
 
 
 class TestStrategiesAgree:

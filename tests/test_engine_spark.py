@@ -1,5 +1,4 @@
 """Distributed engine (run_spark) vs serial ground truth and brute force."""
-import json
 import logging
 import math
 import random
@@ -61,14 +60,6 @@ class TestSparkEngine:
         ]:
             job = run_spark(spark, comm_gg, 0.85, 9, strategy=strategy, **kw)
             assert job.maximal == serial.maximal, strategy
-
-    def test_old_engine_same_results(self, spark, comm_gg):
-        """Prioritization changes scheduling, never results."""
-        new = run_spark(spark, comm_gg, 0.85, 9, strategy="time",
-                        tau_time=0.001, prioritize_big=True)
-        old = run_spark(spark, comm_gg, 0.85, 9, strategy="time",
-                        tau_time=0.001, prioritize_big=False)
-        assert new.maximal == old.maximal
 
     def test_parallelism_knob(self, spark, comm_gg):
         lo = run_spark(spark, comm_gg, 0.85, 9, strategy="time",
@@ -133,6 +124,10 @@ class TestSparkEngine:
         assert job.mine_time > 0
         assert job.n_root_tasks > 0
 
+    def test_unknown_strategy_refused_on_the_driver(self, spark, comm_gg):
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            run_spark(spark, comm_gg, 0.85, 9, strategy="bogus")
+
     def test_task_features_via_spark(self, spark, comm_gg):
         job = run_spark(spark, comm_gg, 0.85, 9, strategy="base",
                         collect_task_features=True)
@@ -155,10 +150,11 @@ class TestLocalDrain:
 
     def mine(self, partition, deadline):
         pruned, alive, rank, _, rows = partition
-        out = _mine_rows(pruned, alive, rank, rows, make_gamma(0.85), 9,
-                         deadline, **self.KW)
-        by_kind = {k: [r for r in out if r[0] == k] for k in ("res", "sub", "stat")}
-        return by_kind, json.loads(by_kind["stat"][0][3])
+        cands, stack, stat, _ = _mine_rows(pruned, alive, rank, rows,
+                                           make_gamma(0.85), 9, deadline, **self.KW)
+        by_kind = {"res": [("res", list(s)) for s in cands],
+                   "sub": [("sub", list(s), list(e)) for s, e in stack]}
+        return by_kind, stat
 
     def test_unbounded_drain_ships_no_subtask(self, partition, comm_gg):
         rows, stat = self.mine(partition, math.inf)

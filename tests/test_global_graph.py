@@ -1,6 +1,7 @@
 """GlobalGraph: preprocessing, ordering, spawn tasks (graphs/global_graph.py)."""
 import random
 
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -8,6 +9,7 @@ from repro.core.bitset import bits
 from repro.core.gamma import make_gamma
 from repro.graphs.generators import edges_pdf, er_graph, planted_community_graph
 from repro.graphs.global_graph import GlobalGraph
+from repro.gthinker.engine import run_serial
 
 
 @pytest.fixture()
@@ -31,6 +33,25 @@ class TestBuild:
     def test_self_loops_dropped(self):
         g = GlobalGraph.from_edges([(1, 1), (0, 1)])
         assert g.adj[1] == {0}
+
+    def test_numpy_ids_accepted(self):
+        pairs = [(np.int64(0), np.int32(1)), (np.int64(1), np.int64(2))]
+        assert GlobalGraph.from_edges(pairs).adj == [{1}, {0, 2}, {1}]
+
+    @pytest.mark.parametrize("bad", [-1, 1.0, np.float64(2.0), "3"])
+    def test_bad_ids_refused(self, bad):
+        pairs = [(0, 1), (1, bad)]
+        with pytest.raises(ValueError, match="vertex ids"):
+            GlobalGraph.from_edges(pairs)
+        with pytest.raises(ValueError, match="vertex ids"):
+            GlobalGraph.from_edges(pd.DataFrame(pairs, columns=["src", "dst"]))
+
+    def test_negative_id_is_not_a_silent_wrong_answer(self):
+        """K4 on {-1, 1, 2, 3} is a 0.9-quasi-clique of size 4; with -1
+        left out of ``adj`` the engine returned no set at all."""
+        k4 = [(u, v) for u in (-1, 1, 2, 3) for v in (1, 2, 3) if u < v]
+        with pytest.raises(ValueError, match="vertex ids"):
+            run_serial(GlobalGraph.from_edges(k4), 0.9, 4)
 
 
 class TestKCore:

@@ -36,15 +36,39 @@ EXPECTED = {
 }
 CONFIGS = {"plus": QUICK_PLUS, "orig": QUICK_ORIGINAL}
 
+# Serial A_split at tau_split = 5 under Quick+, same columns, recorded
+# while run_serial drained subtasks FIFO. Every subtask is mined to the
+# end in any order, so a LIFO drain must give the same counters.
+EXPECTED_SPLIT = {
+    "CX_GSE1730": (14, 3, 14, 14, 79, 46, 2, 2031, 115, 12, 598),
+    "CX_GSE10158": (28, 18, 16, 28, 166, 128, 21, 1831, 663, 42, 1119),
+    "Ca-GrQc": (107, 44, 96, 107, 281, 146, 98, 3342, 1164, 24, 1611),
+    "Enron": (408, 106, 28, 408, 605, 334, 93, 4969, 814, 44, 3176),
+    "Hyves": (95, 29, 12, 95, 248, 149, 37, 1583, 226, 20, 1113),
+    "kmer": (40, 40, 40, 40, 40, 0, 40, 0, 0, 0, 120),
+    "USA Road": (1131, 1131, 985, 1131, 1485, 3, 1131, 54, 239, 0, 1394),
+}
+
+
+def pinned(job) -> tuple:
+    counters = tuple(
+        getattr(job.stats, f.name)
+        for f in dataclasses.fields(job.stats) if f.name.startswith("n_")
+    )
+    return (job.n_results, job.n_maximal, job.n_root_tasks) + counters
+
 
 @pytest.mark.parametrize("dataset,config", sorted(EXPECTED))
 def test_counters_pinned(dataset, config):
     gg, spec = cached_dataset(dataset)
     job = run_serial(gg, spec.gamma, spec.tau_size, strategy="base",
                      cfg=CONFIGS[config])
-    counters = tuple(
-        getattr(job.stats, f.name)
-        for f in dataclasses.fields(job.stats) if f.name.startswith("n_")
-    )
-    got = (job.n_results, job.n_maximal, job.n_root_tasks) + counters
-    assert got == EXPECTED[dataset, config]
+    assert pinned(job) == EXPECTED[dataset, config]
+
+
+@pytest.mark.parametrize("dataset", sorted(EXPECTED_SPLIT))
+def test_split_counters_pinned(dataset):
+    gg, spec = cached_dataset(dataset)
+    job = run_serial(gg, spec.gamma, spec.tau_size, strategy="split", tau_split=5)
+    assert pinned(job) == EXPECTED_SPLIT[dataset]
+    assert job.n_subtasks == job.stats.n_subtasks
