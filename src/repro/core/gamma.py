@@ -15,7 +15,7 @@ __all__ = ["Gamma", "make_gamma"]
 
 
 class Gamma:
-    """An exact γ ∈ [0, 1] with integer ceil/floor of γ·x and x/γ."""
+    """An exact γ ∈ [0, 1] with integer ceil(γ·x) and floor(x/γ)."""
 
     __slots__ = ("num", "den", "value")
 
@@ -29,10 +29,6 @@ class Gamma:
     def ceil_mul(self, x: int) -> int:
         """ceil(γ · x) for integer x ≥ 0, exactly."""
         return -((-self.num * x) // self.den)
-
-    def floor_mul(self, x: int) -> int:
-        """floor(γ · x) for integer x ≥ 0, exactly."""
-        return (self.num * x) // self.den
 
     def floor_div(self, x: int) -> int:
         """floor(x / γ), exactly. Requires γ > 0."""

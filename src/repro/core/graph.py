@@ -51,12 +51,6 @@ class LocalGraph:
     def num_edges(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(bits(self.adj[v]))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
     # ------------------------------------------------------ subgraph
     def induce(self, vertex_mask: int) -> "LocalGraph":
         """Induced subgraph on the same id space (vertices outside the

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import pandas as pd
-
 from ..graphs.generators import (
     edges_pdf,
     grid_graph,
@@ -161,6 +159,3 @@ def load_dataset(name: str) -> tuple[GlobalGraph, DatasetSpec]:
     gg = GlobalGraph.from_edges(edges_pdf(spec.build()))
     return gg, spec
 
-
-def edge_table(name: str) -> pd.DataFrame:
-    return edges_pdf(DATASETS[name].build())

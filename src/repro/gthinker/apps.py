@@ -3,22 +3,21 @@
 Each workload is the paper's per-vertex divide-and-conquer task shape:
 a task spawned from v works on v's (1- or 2-hop) ego neighbourhood
 restricted to higher ids, so every triangle / clique / pattern match is
-counted exactly once. Tasks run inside ``mapInPandas`` against a
-broadcast adjacency (the G-thinker vertex-store analogue), with the
-same big-task-first scheduling knob as the quasi-clique engine
-(``prioritize_big``): the redesigned engine sorts spawn vertices by
-degree descending; the old engine takes them in arbitrary id order.
+counted exactly once. Tasks are dealt like the engine's rounds and
+run against a broadcast adjacency (the G-thinker vertex-store
+analogue), with a big-task-first scheduling knob (``prioritize_big``):
+the redesigned engine sorts spawn vertices by degree descending; the
+old engine takes them in arbitrary id order.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 
-import pandas as pd
-
-from ..core.bitset import bits, mask_of
+from ..core.bitset import mask_of
 from ..core.maxclique import max_clique
 from ..graphs.global_graph import GlobalGraph
+from .engine import _deal
 
 __all__ = ["AppResult", "run_app_spark", "run_app_serial"]
 
@@ -93,7 +92,7 @@ def run_app_spark(
     parallelism: int | None = None,
     prioritize_big: bool = True,
 ) -> AppResult:
-    """One round of per-vertex tasks over mapInPandas + broadcast graph."""
+    """One round of per-vertex tasks, dealt over one RDD stage."""
     kernel, combine = _APP_KERNELS[app], _APP_COMBINE[app]
     sc = spark.sparkContext
     n_part = parallelism or sc.defaultParallelism
@@ -105,19 +104,12 @@ def run_app_spark(
         verts.sort(key=lambda v: -len(gg.adj[v]))
     bc = sc.broadcast(gg)
 
-    def work(pdf_iter):
+    def work(vs):
         g_all: GlobalGraph = bc.value
-        for pdf in pdf_iter:
-            vals = [kernel(g_all, int(v)) for v in pdf["v"]]
-            yield pd.DataFrame({"val": [combine(vals) if vals else 0]})
+        return combine([kernel(g_all, v) for v in vs])
 
-    df = (
-        spark.createDataFrame(pd.DataFrame({"v": verts}))
-        .coalesce(1)
-        .repartition(min(n_part, len(verts)))
-    )
-    parts = df.mapInPandas(work, schema="val long").toPandas()
-    value = combine(parts["val"].tolist()) if len(parts) else 0
+    n = min(n_part, len(verts))
+    value = combine(sc.parallelize(_deal(verts, n), n).map(work).collect())
     bc.unpersist()
     return AppResult(value=int(value), job_time=time.perf_counter() - t0,
                      n_tasks=len(verts))

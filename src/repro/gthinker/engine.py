@@ -9,31 +9,33 @@ only code that runs tasks (:func:`repro.gthinker.tasks.run_task`):
 after the task rows it was dealt, it pops the subtasks they spawned
 LIFO (the local queue Q_local) and mines them, pushing their children,
 until its deadline. What is left on its stack goes back to Q_global.
+Each round leaves one :class:`RoundStats` in ``JobResult.rounds``; the
+INFO log line of a round renders that record.
 
 * :func:`run_serial` — single-threaded reference (the paper's "serial
   mining time"; also the Quick+/Quick comparison harness): the round
   runs in-process with no deadline, so one round drains every subtask.
-* :func:`run_spark` — the distributed engine: a round is one
-  ``mapInPandas`` pass over a DataFrame of tasks, dealt round-robin
-  over ``parallelism`` partitions (Spark's round-robin ``repartition``)
-  so big tasks spread evenly across cores — the dataflow analogue of
-  task stealing. Under A_time a partition drains for τ_time × (its
-  task rows) from its start; A_base and A_split ship every subtask.
+* :func:`run_spark` — the distributed engine: a round is one RDD stage.
+  The driver deals the sorted rows round-robin into n = min(parallelism,
+  rows) lists (:func:`_deal`), so big tasks spread evenly across cores —
+  the dataflow analogue of task stealing — and ``parallelize`` makes
+  each list one partition, with no shuffle. Under A_time a partition
+  drains for τ_time × (its task rows) from its start; A_base and
+  A_split ship every subtask.
 
   The k-core-pruned input graph is shipped once per executor as a
   broadcast (the analogue of G-thinker's distributed vertex store +
   remote vertex cache: every vertex pulled at most once), together with
   the mining order computed once on the driver.
 
-  Tasks and results cross the Python/JVM boundary as typed rows
-  (``kind``, ``s``, ``ext`` as ``array<bigint>``). As in the paper's
-  engine, candidates stay on the worker that found them until it has
-  dropped those another of its candidates contains; only the survivors
-  reach the driver's final maximality pass.
+  Task rows and partition outputs cross as pickled tuples of Python
+  ints, sets and dicts. As in the paper's engine, candidates stay on the
+  worker that found them until it has dropped those another of its
+  candidates contains; only the survivors reach the driver's final
+  maximality pass.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 import sys
@@ -42,9 +44,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
-import numpy as np
 import pandas as pd
-from pyspark.sql.types import ArrayType, LongType, StringType, StructField, StructType
 
 from ..core.gamma import make_gamma
 from ..core.postprocess import maximal_only, timed_maximal_only
@@ -52,20 +52,36 @@ from ..core.quickplus import QUICK_PLUS, MineConfig, MineStats
 from ..graphs.global_graph import GlobalGraph
 from .tasks import STRATEGIES, run_task
 
-__all__ = ["JobResult", "run_serial", "run_spark", "spawn_all"]
+__all__ = ["JobResult", "RoundStats", "run_serial", "run_spark", "spawn_all"]
 
 _log = logging.getLogger(__name__)
 
-# Task rows carry global vertex ids: a root row holds its spawn vertex in
-# ``s``; a subtask row holds S and ext(S). Output rows add a JSON
-# ``payload`` used only by the per-partition stats row and feature rows.
-# StructTypes rather than DDL strings: Spark parses a string in the JVM
-# on every call, once per round.
-_IDS = ArrayType(LongType())
-_TASK_SCHEMA = StructType([
-    StructField("kind", StringType()), StructField("s", _IDS), StructField("ext", _IDS)
-])
-_ROW_SCHEMA = StructType([*_TASK_SCHEMA.fields, StructField("payload", StringType())])
+
+@dataclass
+class RoundStats:
+    """One round of the task loop, as the driver saw it."""
+
+    round: int
+    rows_in: int  # task rows dealt
+    drained: int  # subtasks mined on the partition that made them
+    shipped: int  # subtasks left on a stack: the next round's rows
+    result_rows: int  # candidates that reached the driver
+    wall_s: float  # sort, dispatch and decode
+    dispatch_s: float  # hand out the rows, run the partitions, collect
+    decode_s: float  # merge the partitions' outputs into the job
+    part_rows: list[int]  # task rows dealt to each partition, in partition order
+    part_mine_s: list[float]  # mining time of each partition
+
+    def __str__(self) -> str:
+        """The round's INFO log line."""
+        return (
+            f"round {self.round}: {self.rows_in} task rows in, "
+            f"{self.drained} subtasks drained, {self.shipped} shipped, "
+            f"{self.result_rows} result rows, {self.wall_s:.3f} s wall, "
+            f"partition mining max {max(self.part_mine_s):.3f} / "
+            f"min {min(self.part_mine_s):.3f} s, "
+            f"driver dispatch+collect {self.dispatch_s:.3f} / decode {self.decode_s:.3f} s"
+        )
 
 
 @dataclass
@@ -84,9 +100,14 @@ class JobResult:
     worker_filter_time: float = 0.0  # sum of per-partition filter time
     n_root_tasks: int = 0
     n_subtasks: int = 0  # every subtask created, drained on a worker or shipped
-    n_rounds: int = 0  # serial path: 1 whenever there are root tasks
+    rounds: list[RoundStats] = field(default_factory=list)
     stats: MineStats = field(default_factory=MineStats)
     task_features: pd.DataFrame | None = None  # Tables 1–2 per-task rows
+
+    @property
+    def n_rounds(self) -> int:
+        """Serial path: 1 whenever there are root tasks."""
+        return len(self.rounds)
 
     @property
     def n_results(self) -> int:
@@ -105,10 +126,14 @@ def spawn_all(
     root tasks. Returns (pruned GlobalGraph, list[SpawnTask]).
 
     Raises ``ValueError`` for γ < 0.5: the (P1) two-hop shrink assumes
-    a quasi-clique has diameter ≤ 2, which only holds for γ ≥ 0.5."""
+    a quasi-clique has diameter ≤ 2, which only holds for γ ≥ 0.5. Also
+    for τ_size < 2: a vertex with no edge is then a maximal result, but
+    tasks spawn only from vertices that have one."""
     gam = make_gamma(gamma)
     if 2 * gam.num < gam.den:
         raise ValueError(f"gamma must be >= 0.5, got {gam.value}")
+    if tau_size < 2:
+        raise ValueError(f"tau_size must be >= 2, got {tau_size}")
     pruned = gg.pruned_subgraph(gam, tau_size)
     alive, rank, skip = _mining_order(pruned, cfg)
     tasks = []
@@ -179,10 +204,11 @@ def _features_row(task, outcome, elapsed: float) -> dict:
     }
 
 
-def _ids(cell) -> list[int]:
-    """Python ints from an ``array<bigint>`` cell: a numpy array under
-    Arrow, a list otherwise. numpy ints must not reach the bitmasks."""
-    return cell.tolist() if isinstance(cell, np.ndarray) else list(cell)
+def _deal(rows: list, n: int) -> list[list]:
+    """Deal ``rows`` round-robin into ``n`` slots: row i goes to slot
+    i mod n, at position i // n. On cost-sorted rows every slot gets
+    one of the n biggest tasks, then one of the next n, and so on."""
+    return [rows[j::n] for j in range(n)]
 
 
 def _mine_rows(
@@ -206,7 +232,7 @@ def _mine_rows(
         t_task0 = time.perf_counter()
         if kind == "root":
             t0 = time.perf_counter()
-            task = g_all.spawn_task(int(s_ids[0]), rank, alive, gamma, tau_size)
+            task = g_all.spawn_task(s_ids[0], rank, alive, gamma, tau_size)
             acc.materialize_time += time.perf_counter() - t0
             if task is None:
                 continue
@@ -215,13 +241,13 @@ def _mine_rows(
             if collect_task_features:
                 feat_rows.append(_features_row(task, out, time.perf_counter() - t_task0))
         else:
-            out = _run_subtask(g_all, _ids(s_ids), _ids(e_ids), gamma, tau_size, **kw)
+            out = _run_subtask(g_all, s_ids, e_ids, gamma, tau_size, **kw)
         stack.extend(_merge_outcome(acc, out))
     while stack and time.perf_counter() < deadline:
         s_set, ext_set = stack.pop()
         out = _run_subtask(g_all, s_set, ext_set, gamma, tau_size, **kw)
         stack.extend(_merge_outcome(acc, out))
-    stat = {"mine": acc.mine_time, "mat": acc.materialize_time,
+    stat = {"rows": len(rows), "mine": acc.mine_time, "mat": acc.materialize_time,
             "drained": acc.n_subtasks - len(stack), "stats": acc.stats.__dict__}
     return acc.results, stack, stat, feat_rows
 
@@ -231,9 +257,9 @@ def _task_loop(gg: GlobalGraph, gamma, tau_size: int, rounds, *, strategy: str,
     """The task loop both engines share. ``rounds(graph, mine)`` is a
     context manager yielding the round executor: given a round's sorted
     ``(kind, s, ext)`` rows, it runs ``mine(*graph, rows, deadline=...)``,
-    i.e. :func:`_mine_rows`, on them and returns the candidates, the
-    ``(S, ext)`` subtasks left, one stats dict per partition and the
-    feature rows."""
+    i.e. :func:`_mine_rows`, on them and returns one ``(candidates,
+    (S, ext) subtasks left, stats dict, feature rows)`` tuple per
+    partition, in partition order."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     job = JobResult()
@@ -250,26 +276,35 @@ def _task_loop(gg: GlobalGraph, gamma, tau_size: int, rounds, *, strategy: str,
     feats = []
     with rounds((pruned, alive, rank), mine) as run_round:
         while pending:
-            job.n_rounds += 1
             t_round = time.perf_counter()
             pending.sort(key=lambda row: row[0], reverse=True)  # stable
-            cands, subs, part_stats, feat_rows = run_round([row[1:] for row in pending])
-            job.results.update(cands)
-            for st in part_stats:
+            t_dispatch = time.perf_counter()
+            parts = run_round([row[1:] for row in pending])
+            t_decode = time.perf_counter()
+            subs, part_stats = [], []
+            n_cands = 0
+            for cands, stack, st, feat_rows in parts:
+                job.results.update(cands)
+                n_cands += len(cands)
+                subs += stack
+                part_stats.append(st)
+                feats += feat_rows
                 job.mine_time += st["mine"]
                 job.materialize_time += st["mat"]
                 job.worker_filter_time += st.get("filter", 0.0)
                 job.stats.merge(MineStats(**st["stats"]))
             drained = sum(st["drained"] for st in part_stats)
             job.n_subtasks += drained + len(subs)
-            feats += feat_rows
-            part_mine = [st["mine"] for st in part_stats]
-            _log.info(
-                "round %d: %d task rows in, %d subtasks drained, %d shipped, "
-                "%d result rows, %.3f s wall, partition mining max %.3f / min %.3f s",
-                job.n_rounds, len(pending), drained, len(subs), len(cands),
-                time.perf_counter() - t_round, max(part_mine), min(part_mine),
+            t_end = time.perf_counter()
+            rec = RoundStats(
+                round=job.n_rounds + 1, rows_in=len(pending), drained=drained,
+                shipped=len(subs), result_rows=n_cands, wall_s=t_end - t_round,
+                dispatch_s=t_decode - t_dispatch, decode_s=t_end - t_decode,
+                part_rows=[st["rows"] for st in part_stats],
+                part_mine_s=[st["mine"] for st in part_stats],
             )
+            job.rounds.append(rec)
+            _log.info("%s", rec)
             pending = [(len(e), "sub", s, e) for s, e in subs]
     job.maximal, job.postprocess_time = timed_maximal_only(job.results)
     job.job_time = time.perf_counter() - t_start
@@ -295,10 +330,7 @@ def run_serial(
     Ground truth for the distributed runs."""
 
     def in_process(graph, mine):
-        def run_round(rows):
-            cands, stack, stat, feat_rows = mine(*graph, rows, deadline=math.inf)
-            return cands, stack, [stat], feat_rows
-        return nullcontext(run_round)
+        return nullcontext(lambda rows: [mine(*graph, rows, deadline=math.inf)])
 
     return _task_loop(gg, gamma, tau_size, in_process, strategy=strategy,
                       tau_split=tau_split, tau_time=tau_time, cfg=cfg,
@@ -326,10 +358,9 @@ def run_spark(
     def on_spark(graph, mine):
         bc = sc.broadcast(graph)
 
-        def mine_partition(pdf_iter):
-            """mapInPandas worker. Under A_time the partition drains for
-            the time its task rows were granted and did not use."""
-            rows = [r for pdf in pdf_iter for r in zip(pdf["kind"], pdf["s"], pdf["ext"])]
+        def mine_partition(rows):
+            """One partition's one element: the rows dealt to it. Under
+            A_time it drains for the time they were granted and did not use."""
             budget = tau_time * len(rows) if strategy == "time" else 0.0
             deadline = time.perf_counter() + budget
             cands, stack, stat, feat_rows = mine(*bc.value, rows, deadline=deadline)
@@ -341,28 +372,13 @@ def run_spark(
             t0 = time.perf_counter()
             kept = maximal_only(cands)
             stat["filter"] = time.perf_counter() - t0
-            out_rows = [("res", list(s), None, None) for s in kept]
-            out_rows += [("sub", list(s), list(e), None) for s, e in stack]
-            out_rows.append(("stat", None, None, json.dumps(stat)))
-            out_rows += [("feat", None, None, json.dumps(fr)) for fr in feat_rows]
-            yield pd.DataFrame(out_rows, columns=["kind", "s", "ext", "payload"])
+            return kept, stack, stat, feat_rows
 
         def run_round(rows):
-            pdf = pd.DataFrame(rows, columns=["kind", "s", "ext"])
-            tasks_df = (
-                spark.createDataFrame(pdf, schema=_TASK_SCHEMA)
-                .coalesce(1)  # single input partition => exact round-robin deal
-                .repartition(min(n_part, len(rows)))
-            )
-            out = tasks_df.mapInPandas(mine_partition, schema=_ROW_SCHEMA).toPandas()
-            kind = out["kind"]
-            subs = out[kind == "sub"]
-            return (
-                [frozenset(_ids(s)) for s in out["s"][kind == "res"]],
-                [(_ids(s), _ids(e)) for s, e in zip(subs["s"], subs["ext"])],
-                [json.loads(p) for p in out["payload"][kind == "stat"]],
-                [json.loads(p) for p in out["payload"][kind == "feat"]],
-            )
+            n = min(n_part, len(rows))
+            # n lists into n slices: parallelize keeps each list whole
+            # as its partition's one element, so the deal is exact.
+            return sc.parallelize(_deal(rows, n), n).map(mine_partition).collect()
 
         try:
             yield run_round

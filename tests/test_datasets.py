@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core.gamma import make_gamma
-from repro.graphs.datasets import DATASETS, dataset_names, edge_table, load_dataset
+from repro.graphs.datasets import DATASETS, dataset_names, load_dataset
 
 
 class TestRegistry:
@@ -46,8 +46,3 @@ class TestRegistry:
             sizes[name] = pruned.num_edges()
         assert sizes["Patent"] > sizes["kmer"]
         assert sizes["YouTube"] > sizes["CX_GSE1730"]
-
-    def test_edge_table_matches_load(self):
-        pdf = edge_table("kmer")
-        gg, _ = load_dataset("kmer")
-        assert len(pdf) == gg.num_edges()

@@ -1,0 +1,68 @@
+"""Edge-case inputs on both engines, each checked against brute force
+on the LocalGraph with the same vertices and edges."""
+import random
+
+import pytest
+
+from repro.core.brute import brute_force_maximal
+from repro.core.graph import LocalGraph
+from repro.graphs.global_graph import GlobalGraph
+from repro.gthinker.engine import run_serial, run_spark
+
+ENGINES = ["serial", "spark-1", "spark-4"]
+
+
+def _random_edges(n, p, seed):
+    rng = random.Random(seed)
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+def mine(request, engine, edges, gamma, tau_size):
+    gg = GlobalGraph.from_edges(edges)
+    if engine == "serial":
+        return run_serial(gg, gamma, tau_size)
+    spark = request.getfixturevalue("spark")
+    return run_spark(spark, gg, gamma, tau_size, strategy="time", tau_time=0.0,
+                     parallelism=int(engine.split("-")[1]))
+
+
+def expected(edges, gamma, tau_size):
+    n = 1 + max((max(u, v) for u, v in edges), default=-1)
+    return brute_force_maximal(LocalGraph.from_edges(n, edges), gamma, tau_size)
+
+
+BASE = _random_edges(11, 0.6, seed=4)
+CASES = {
+    "empty": [],
+    # every edge three times, twice reversed
+    "duplicate_edges": BASE + [(v, u) for u, v in BASE] + [(v, u) for u, v in BASE[::2]],
+    # a loop on every vertex, and a vertex whose only edge is a loop
+    "self_loops": BASE + [(v, v) for v in range(11)] + [(11, 11)],
+    "tau_size_2": _random_edges(9, 0.3, seed=7),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("case,gamma,tau_size", [
+    ("empty", 0.9, 3),
+    ("duplicate_edges", 0.7, 4),
+    ("self_loops", 0.7, 4),
+    ("tau_size_2", 0.5, 2),
+    ("tau_size_2", 0.8, 2),
+])
+def test_matches_brute_force(request, engine, case, gamma, tau_size):
+    edges = CASES[case]
+    expect = expected(edges, gamma, tau_size)
+    if case != "empty":
+        assert expect, "a case with no result would check nothing"
+    assert mine(request, engine, edges, gamma, tau_size).maximal == expect
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_tau_size_1_refused(request, engine):
+    """With τ_size = 1 a vertex without edges is a maximal result, which
+    brute force finds and the task spawn never visits: refuse it."""
+    edges = [(0, 1), (1, 2), (0, 2), (3, 5)]
+    assert frozenset({4}) in expected(edges, 0.8, 1)
+    with pytest.raises(ValueError, match="tau_size must be >= 2"):
+        mine(request, engine, edges, 0.8, 1)

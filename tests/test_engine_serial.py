@@ -3,12 +3,13 @@ import logging
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.quickplus import MineConfig
 from repro.graphs.datasets import load_dataset
 from repro.graphs.generators import edges_pdf, planted_community_graph
 from repro.graphs.global_graph import GlobalGraph
-from repro.gthinker.engine import run_serial, spawn_all
+from repro.gthinker.engine import _deal, run_serial, spawn_all
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +69,25 @@ class TestTaskLoop:
         m = re.fullmatch(
             r"round 1: (\d+) task rows in, (\d+) subtasks drained, 0 shipped, "
             r"(\d+) result rows, [\d.]+ s wall, "
-            r"partition mining max ([\d.]+) / min ([\d.]+) s", lines[0])
+            r"partition mining max ([\d.]+) / min ([\d.]+) s, "
+            r"driver dispatch\+collect [\d.]+ / decode [\d.]+ s", lines[0])
         assert m is not None, lines[0]
+        assert lines[0] == str(job.rounds[0])
         assert int(m[1]) == job.n_root_tasks
         assert int(m[2]) == job.n_subtasks
         assert int(m[3]) == job.n_results
         assert m[4] == m[5]  # one partition
+
+
+class TestDeal:
+    @given(st.integers(1, 60), st.integers(1, 8))
+    def test_row_i_lands_in_slot_i_mod_n(self, n_rows, n):
+        rows = list(range(n_rows))
+        dealt = _deal(rows, n)
+        assert len(dealt) == n
+        for i in rows:
+            assert dealt[i % n][i // n] == i
+        assert sorted(r for slot in dealt for r in slot) == rows
 
 
 class TestStrategiesAgree:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core.bitset import bits
 from repro.core.brute import brute_force_maximal
 from repro.core.gamma import make_gamma
 from repro.core.graph import LocalGraph
@@ -26,7 +27,7 @@ def make_case(seed):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     gamma = rng.choice([0.6, 0.8, 0.9])
     g = LocalGraph.from_edges(n, edges)
-    gg = GlobalGraph(n, [set(g.neighbors(v)) for v in range(n)])
+    gg = GlobalGraph(n, [set(bits(g.adj[v])) for v in range(n)])
     return g, gg, gamma, 3
 
 
@@ -123,6 +124,32 @@ class TestSparkEngine:
         assert lines[0].startswith("round 1: ")
         assert job.mine_time > 0
         assert job.n_root_tasks > 0
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 4])
+    def test_round_record_and_deal(self, spark, comm_gg, caplog, parallelism):
+        """Partition j of a round of L rows is dealt ⌈(L − j)/n⌉ of them,
+        n = min(parallelism, L); the round record adds up to the job and
+        is what the log line shows."""
+        caplog.set_level(logging.INFO, logger="repro.gthinker.engine")
+        job = run_spark(spark, comm_gg, 0.85, 9, strategy="split", tau_split=3,
+                        parallelism=parallelism)
+        assert job.n_rounds == len(job.rounds) > 1
+        assert job.rounds[0].rows_in == job.n_root_tasks
+        for prev, rec in zip(job.rounds, job.rounds[1:]):
+            assert rec.rows_in == prev.shipped
+        assert job.rounds[-1].shipped == 0
+        for k, rec in enumerate(job.rounds, 1):
+            n = min(parallelism, rec.rows_in)
+            assert rec.round == k
+            assert rec.part_rows == [math.ceil((rec.rows_in - j) / n) for j in range(n)]
+            assert len(rec.part_mine_s) == n
+            assert rec.dispatch_s + rec.decode_s <= rec.wall_s
+        assert sum(r.drained + r.shipped for r in job.rounds) == job.n_subtasks
+        assert sum(r.result_rows for r in job.rounds) >= job.n_results
+        assert math.isclose(sum(sum(r.part_mine_s) for r in job.rounds), job.mine_time)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "repro.gthinker.engine"]
+        assert lines == [str(rec) for rec in job.rounds]
 
     def test_unknown_strategy_refused_on_the_driver(self, spark, comm_gg):
         with pytest.raises(ValueError, match="unknown strategy 'bogus'"):

@@ -32,11 +32,6 @@ class TestCeilMul:
         g = Gamma(frac)
         assert g.ceil_mul(x) == math.ceil(frac * x)
 
-    @given(st.fractions(min_value=0, max_value=1), st.integers(0, 10**6))
-    def test_floor_matches(self, frac, x):
-        g = Gamma(frac)
-        assert g.floor_mul(x) == math.floor(frac * x)
-
 
 class TestFloorDiv:
     @given(

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from repro.core.bitset import bits
 from repro.core.brute import brute_force_maximal
 from repro.core.graph import LocalGraph
 from repro.core.quickplus import QUICK_ORIGINAL, QUICK_PLUS, MineConfig
@@ -23,7 +24,7 @@ def make_case(seed):
     gamma = rng.choice([0.5, 0.6, 0.7, 0.8, 0.9])
     tau = rng.choice([3, 4, 5])
     g = LocalGraph.from_edges(n, edges)
-    gg = GlobalGraph(n, [set(g.neighbors(v)) for v in range(n)])
+    gg = GlobalGraph(n, [set(bits(g.adj[v])) for v in range(n)])
     return g, gg, gamma, tau
 
 
@@ -98,7 +99,7 @@ def test_quick_original_misses_results_somewhere():
 def test_clique_input(gamma, tau):
     n = 6
     g = LocalGraph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
-    gg = GlobalGraph(n, [set(g.neighbors(v)) for v in range(n)])
+    gg = GlobalGraph(n, [set(bits(g.adj[v])) for v in range(n)])
     job = run_serial(gg, gamma, tau, strategy="base")
     assert job.maximal == {frozenset(range(n))}
 

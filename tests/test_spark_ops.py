@@ -6,7 +6,7 @@ join or wrong dedup is caught, not just "it ran".
 import pandas as pd
 import pytest
 
-from repro.graphs.datasets import edge_table
+from repro.graphs.datasets import DATASETS
 from repro.graphs.generators import edges_pdf, er_graph
 from repro.graphs import spark_ops
 
@@ -43,6 +43,6 @@ class TestTriangles:
 class TestDatasetEdgeTables:
     @pytest.mark.parametrize("name", ["CX_GSE1730", "kmer", "USA Road"])
     def test_edge_tables_canonical(self, name):
-        pdf = edge_table(name)
+        pdf = edges_pdf(DATASETS[name].build())
         assert (pdf["src"] < pdf["dst"]).all()
         assert not pdf.duplicated(["src", "dst"]).any()
