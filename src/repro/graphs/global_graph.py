@@ -13,9 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-import pandas as pd
-
 from ..core.gamma import Gamma, make_gamma
 from ..core.graph import LocalGraph
 
@@ -46,6 +43,11 @@ class GlobalGraph:
         """``edges``: iterable of (u, v) pairs or a pandas DataFrame with
         columns src/dst. Vertex ids must be 0..n-1 (n inferred); a
         negative or non-integer id raises ``ValueError``."""
+        # imported here, not at the top: Spark workers unpickle a
+        # GlobalGraph, and importing pandas there would cost 0.5 s
+        import numpy as np
+        import pandas as pd
+
         if isinstance(edges, pd.DataFrame):
             ends = edges[["src", "dst"]].to_numpy()
         else:
@@ -65,6 +67,9 @@ class GlobalGraph:
 
     def to_edge_pdf(self) -> pd.DataFrame:
         """Canonical src < dst edge table (for Spark/DuckDB checks)."""
+        import numpy as np
+        import pandas as pd
+
         src, dst = [], []
         for u in range(self.n):
             for v in self.adj[u]:

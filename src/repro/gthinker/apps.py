@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from ..core.bitset import mask_of
 from ..core.maxclique import max_clique
 from ..graphs.global_graph import GlobalGraph
-from .engine import _deal
+from .engine import _deal, _drop_zip_finders
 
 __all__ = ["AppResult", "run_app_spark", "run_app_serial"]
 
@@ -106,7 +106,9 @@ def run_app_spark(
 
     def work(vs):
         g_all: GlobalGraph = bc.value
-        return combine([kernel(g_all, v) for v in vs])
+        value = combine([kernel(g_all, v) for v in vs])
+        _drop_zip_finders()  # see run_spark
+        return value
 
     n = min(n_part, len(verts))
     value = combine(sc.parallelize(_deal(verts, n), n).map(work).collect())

@@ -32,25 +32,33 @@ INFO log line of a round renders that record.
   ints, sets and dicts. As in the paper's engine, candidates stay on the
   worker that found them until it has dropped those another of its
   candidates contains; only the survivors reach the driver's final
-  maximality pass.
+  maximality pass. Before it returns, a partition body drops the zip
+  importers from its reused Python worker's import cache
+  (:func:`_drop_zip_finders`): PySpark's per-task
+  ``importlib.invalidate_caches()`` would otherwise re-read the whole
+  directory of ``pyspark.zip`` and the spark-core jar on every task.
 """
 from __future__ import annotations
 
+import json
 import logging
 import math
 import sys
 import time
+import zipimport
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-
-import pandas as pd
+from typing import TYPE_CHECKING
 
 from ..core.gamma import make_gamma
 from ..core.postprocess import maximal_only, timed_maximal_only
 from ..core.quickplus import QUICK_PLUS, MineConfig, MineStats
 from ..graphs.global_graph import GlobalGraph
 from .tasks import STRATEGIES, run_task
+
+if TYPE_CHECKING:  # pandas takes 0.5 s to import; fresh workers never need it
+    import pandas as pd
 
 __all__ = ["JobResult", "RoundStats", "run_serial", "run_spark", "spawn_all"]
 
@@ -71,6 +79,13 @@ class RoundStats:
     decode_s: float  # merge the partitions' outputs into the job
     part_rows: list[int]  # task rows dealt to each partition, in partition order
     part_mine_s: list[float]  # mining time of each partition
+    part_wall_s: list[float]  # each partition body's own wall time, entry to return
+
+    @property
+    def launch_s(self) -> float:
+        """Dispatch+collect time no partition body accounts for: task
+        launch, shipping and collect around the slowest partition."""
+        return self.dispatch_s - max(self.part_wall_s)
 
     def __str__(self) -> str:
         """The round's INFO log line."""
@@ -80,7 +95,8 @@ class RoundStats:
             f"{self.result_rows} result rows, {self.wall_s:.3f} s wall, "
             f"partition mining max {max(self.part_mine_s):.3f} / "
             f"min {min(self.part_mine_s):.3f} s, "
-            f"driver dispatch+collect {self.dispatch_s:.3f} / decode {self.decode_s:.3f} s"
+            f"driver dispatch+collect {self.dispatch_s:.3f} / decode {self.decode_s:.3f} s, "
+            f"launch {self.launch_s:.3f} s"
         )
 
 
@@ -116,6 +132,16 @@ class JobResult:
     @property
     def n_maximal(self) -> int:
         return len(self.maximal)
+
+    def to_json(self) -> str:
+        """The job record: job-level counters and times, the miner's
+        phase counters and one dict per round, without the result sets."""
+        rec = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("results", "maximal", "stats", "rounds", "task_features")}
+        rec.update(n_rounds=self.n_rounds, n_results=self.n_results,
+                   n_maximal=self.n_maximal, stats=asdict(self.stats),
+                   rounds=[asdict(r) for r in self.rounds])
+        return json.dumps(rec)
 
 
 def spawn_all(
@@ -211,6 +237,19 @@ def _deal(rows: list, n: int) -> list[list]:
     return [rows[j::n] for j in range(n)]
 
 
+def _drop_zip_finders() -> None:
+    """Forget every zip importer in ``sys.path_importer_cache``. Call it
+    only at the end of a Spark partition body: PySpark runs
+    ``importlib.invalidate_caches()`` before each task, and a cached
+    ``zipimporter`` then re-reads its archive's whole directory. The
+    entries are deleted, not set to None (None means "no finder here");
+    an import that needs one again rebuilds it from
+    ``zipimport._zip_directory_cache`` without reading the archive."""
+    for path, finder in list(sys.path_importer_cache.items()):
+        if isinstance(finder, zipimport.zipimporter):
+            del sys.path_importer_cache[path]
+
+
 def _mine_rows(
     g_all: GlobalGraph, alive, rank, rows, gamma, tau_size: int,
     deadline: float, *, collect_task_features: bool = False, **kw,
@@ -302,6 +341,7 @@ def _task_loop(gg: GlobalGraph, gamma, tau_size: int, rounds, *, strategy: str,
                 dispatch_s=t_decode - t_dispatch, decode_s=t_end - t_decode,
                 part_rows=[st["rows"] for st in part_stats],
                 part_mine_s=[st["mine"] for st in part_stats],
+                part_wall_s=[st["wall"] for st in part_stats],
             )
             job.rounds.append(rec)
             _log.info("%s", rec)
@@ -309,6 +349,8 @@ def _task_loop(gg: GlobalGraph, gamma, tau_size: int, rounds, *, strategy: str,
     job.maximal, job.postprocess_time = timed_maximal_only(job.results)
     job.job_time = time.perf_counter() - t_start
     if collect_task_features:
+        import pandas as pd
+
         job.task_features = pd.DataFrame(feats)
     return job
 
@@ -330,7 +372,13 @@ def run_serial(
     Ground truth for the distributed runs."""
 
     def in_process(graph, mine):
-        return nullcontext(lambda rows: [mine(*graph, rows, deadline=math.inf)])
+        def run_round(rows):
+            t0 = time.perf_counter()
+            out = mine(*graph, rows, deadline=math.inf)
+            out[2]["wall"] = time.perf_counter() - t0
+            return [out]
+
+        return nullcontext(run_round)
 
     return _task_loop(gg, gamma, tau_size, in_process, strategy=strategy,
                       tau_split=tau_split, tau_time=tau_time, cfg=cfg,
@@ -350,7 +398,9 @@ def run_spark(
     parallelism: int | None = None,
     collect_task_features: bool = False,
 ) -> JobResult:
-    """Distributed engine (see module docstring for the mapping)."""
+    """Distributed engine (see module docstring for the mapping). Each
+    partition body ends by dropping its worker's zip importers, so the
+    next task's ``importlib.invalidate_caches()`` re-reads no archive."""
     sc = spark.sparkContext
     n_part = parallelism or sc.defaultParallelism
 
@@ -361,6 +411,7 @@ def run_spark(
         def mine_partition(rows):
             """One partition's one element: the rows dealt to it. Under
             A_time it drains for the time they were granted and did not use."""
+            t_entry = time.perf_counter()
             budget = tau_time * len(rows) if strategy == "time" else 0.0
             deadline = time.perf_counter() + budget
             cands, stack, stat, feat_rows = mine(*bc.value, rows, deadline=deadline)
@@ -372,6 +423,8 @@ def run_spark(
             t0 = time.perf_counter()
             kept = maximal_only(cands)
             stat["filter"] = time.perf_counter() - t0
+            _drop_zip_finders()
+            stat["wall"] = time.perf_counter() - t_entry
             return kept, stack, stat, feat_rows
 
         def run_round(rows):

@@ -70,13 +70,17 @@ class TestTaskLoop:
             r"round 1: (\d+) task rows in, (\d+) subtasks drained, 0 shipped, "
             r"(\d+) result rows, [\d.]+ s wall, "
             r"partition mining max ([\d.]+) / min ([\d.]+) s, "
-            r"driver dispatch\+collect [\d.]+ / decode [\d.]+ s", lines[0])
+            r"driver dispatch\+collect [\d.]+ / decode [\d.]+ s, "
+            r"launch [\d.]+ s", lines[0])
         assert m is not None, lines[0]
         assert lines[0] == str(job.rounds[0])
         assert int(m[1]) == job.n_root_tasks
         assert int(m[2]) == job.n_subtasks
         assert int(m[3]) == job.n_results
         assert m[4] == m[5]  # one partition
+        rec = job.rounds[0]
+        assert len(rec.part_wall_s) == 1
+        assert rec.part_mine_s[0] <= rec.part_wall_s[0] <= rec.dispatch_s
 
 
 class TestDeal:

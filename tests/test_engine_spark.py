@@ -1,7 +1,9 @@
 """Distributed engine (run_spark) vs serial ground truth and brute force."""
+import json
 import logging
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -142,7 +144,9 @@ class TestSparkEngine:
             n = min(parallelism, rec.rows_in)
             assert rec.round == k
             assert rec.part_rows == [math.ceil((rec.rows_in - j) / n) for j in range(n)]
-            assert len(rec.part_mine_s) == n
+            assert len(rec.part_mine_s) == len(rec.part_wall_s) == n
+            assert all(m <= w for m, w in zip(rec.part_mine_s, rec.part_wall_s))
+            assert 0 <= rec.launch_s == rec.dispatch_s - max(rec.part_wall_s)
             assert rec.dispatch_s + rec.decode_s <= rec.wall_s
         assert sum(r.drained + r.shipped for r in job.rounds) == job.n_subtasks
         assert sum(r.result_rows for r in job.rounds) >= job.n_results
@@ -150,6 +154,21 @@ class TestSparkEngine:
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "repro.gthinker.engine"]
         assert lines == [str(rec) for rec in job.rounds]
+
+    @pytest.mark.parametrize("engine", ["serial", "spark"])
+    def test_job_record_as_json(self, spark, comm_gg, engine):
+        """to_json() holds the counters, times and round records, and no
+        result set."""
+        kw = dict(strategy="split", tau_split=3)
+        job = (run_serial(comm_gg, 0.85, 9, **kw) if engine == "serial"
+               else run_spark(spark, comm_gg, 0.85, 9, **kw))
+        rec = json.loads(job.to_json())
+        assert rec["rounds"] == [asdict(r) for r in job.rounds]
+        assert rec["stats"] == asdict(job.stats)
+        assert rec["job_time"] == job.job_time
+        for name in ("n_root_tasks", "n_subtasks", "n_rounds", "n_results", "n_maximal"):
+            assert rec[name] == getattr(job, name)
+        assert not {"results", "maximal", "task_features"} & rec.keys()
 
     def test_unknown_strategy_refused_on_the_driver(self, spark, comm_gg):
         with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
