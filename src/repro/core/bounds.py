@@ -39,72 +39,87 @@ class DegreeSnapshot:
     """The degrees of one bounding round over ``(S, ext)``.
 
     ``s_list``/``ext_list`` hold the vertices in ascending order;
-    ``d_ss[i]``/``d_es[i]`` are d_S and d_ext of ``s_list[i]``, and
+    ``d_ss[i]`` is d_S of ``s_list[i]`` and ``d_all[i]`` its
+    d_S + d_ext (its degree in S ∪ ext; d_ext is the difference), and
     ``d_se[j]`` is d_S of ``ext_list[j]``. ``se_prefix[t]`` is the sum
     of the t largest SE-degrees (the order Lemma 2 requires).
     """
 
-    __slots__ = ("s_list", "ext_list", "d_ss", "d_es", "d_se", "sum_ss",
+    __slots__ = ("s_list", "ext_list", "d_ss", "d_all", "d_se", "sum_ss",
                  "se_prefix")
 
     def __init__(self, g: LocalGraph, S: int, ext: int):
         adj = g.adj
-        self.s_list = list(bits(S))
-        self.ext_list = list(bits(ext))
-        self.d_ss = [(adj[v] & S).bit_count() for v in self.s_list]
-        self.d_es = [(adj[v] & ext).bit_count() for v in self.s_list]
-        self.d_se = [(adj[u] & S).bit_count() for u in self.ext_list]
-        self.sum_ss = sum(self.d_ss)
-        self.se_prefix = list(accumulate(sorted(self.d_se, reverse=True), initial=0))
+        both = S | ext
+        self.s_list = s_list = bits(S)
+        self.ext_list = ext_list = bits(ext)
+        self.d_ss = d_ss = [(adj[v] & S).bit_count() for v in s_list]
+        self.d_all = d_all = [(adj[v] & both).bit_count() for v in s_list]
+        self.d_se = d_se = [(adj[u] & S).bit_count() for u in ext_list]
+        self.sum_ss = sum(d_ss)
+        self.se_prefix = list(accumulate(sorted(d_se, reverse=True), initial=0))
 
 
-def upper_bound(snap: DegreeSnapshot, gam: Gamma) -> int | None:
+def _table(snap: DegreeSnapshot, gam: Gamma) -> list[int]:
+    """A ceiling table for one snapshot's bounds. They read ceil(γ·x)
+    at x = |S| + t − 1 with t ≤ |ext|, so x < |S| + |ext|."""
+    return gam.ceil_table(len(snap.s_list) + len(snap.ext_list))
+
+
+def upper_bound(snap: DegreeSnapshot, gam: Gamma, ceil: list[int] | None = None) -> int | None:
     """U_S of Eq (4), or ``None`` when no valid t exists (a Type II
     pruning of S's *extensions*; G(S) itself stays a candidate).
 
-    Requires S non-empty and γ > 0 (the paper's regime is γ ≥ 0.5).
+    ``ceil[x]`` is ``gam.ceil_mul(x)`` for x < |S| + |ext| (the miner's
+    table; built here when not given). Requires S non-empty and γ > 0
+    (the paper's regime is γ ≥ 0.5).
     """
+    if ceil is None:
+        ceil = _table(snap, gam)
     s = len(snap.s_list)
-    d_min = min(a + b for a, b in zip(snap.d_ss, snap.d_es))
-    u_min = gam.floor_div(d_min) + 1 - s  # Eq (3)
+    u_min = gam.floor_div(min(snap.d_all)) + 1 - s  # Eq (3)
     u_cap = min(u_min, len(snap.ext_list))
     if u_cap < 1:
         return None
     sum_ss, prefix = snap.sum_ss, snap.se_prefix
     for t in range(u_cap, 0, -1):  # Eq (4): the max t satisfying Lemma 2
-        if sum_ss + prefix[t] >= s * gam.ceil_mul(s + t - 1):
+        if sum_ss + prefix[t] >= s * ceil[s + t - 1]:
             return t
     return None
 
 
-def lower_bound(snap: DegreeSnapshot, gam: Gamma) -> int | None:
+def lower_bound(snap: DegreeSnapshot, gam: Gamma, ceil: list[int] | None = None) -> int | None:
     """L_S of Eq (8), or ``None`` when no valid t exists (a Type II
-    pruning of S *and* its extensions)."""
+    pruning of S *and* its extensions). ``ceil`` as in :func:`upper_bound`."""
+    if ceil is None:
+        ceil = _table(snap, gam)
     s = len(snap.s_list)
     n_ext = len(snap.ext_list)
     d_s_min = min(snap.d_ss)
     l_min = None
     for t in range(0, n_ext + 1):  # Eq (7)
-        if d_s_min + t >= gam.ceil_mul(s + t - 1):
+        if d_s_min + t >= ceil[s + t - 1]:
             l_min = t
             break
     if l_min is None:
         return None
     sum_ss, prefix = snap.sum_ss, snap.se_prefix
     for t in range(l_min, n_ext + 1):  # Eq (8): the min t satisfying Lemma 2
-        if sum_ss + prefix[t] >= s * gam.ceil_mul(s + t - 1):
+        if sum_ss + prefix[t] >= s * ceil[s + t - 1]:
             return t
     return None
 
 
-def critical_vertices(snap: DegreeSnapshot, gam: Gamma, l_s: int) -> list[int]:
+def critical_vertices(
+    snap: DegreeSnapshot, gam: Gamma, l_s: int, ceil: list[int] | None = None
+) -> list[int]:
     """Definition 4: v ∈ S with d_S(v) + d_ext(v) == ceil(γ(|S|+L_S-1)).
-    Any valid extension must then absorb all of N_ext(v) (Theorem 9)."""
-    need = gam.ceil_mul(len(snap.s_list) + l_s - 1)
-    return [
-        v for v, d_ss, d_es in zip(snap.s_list, snap.d_ss, snap.d_es)
-        if d_ss + d_es == need
-    ]
+    Any valid extension must then absorb all of N_ext(v) (Theorem 9).
+    ``ceil`` as in :func:`upper_bound`."""
+    if ceil is None:
+        ceil = _table(snap, gam)
+    need = ceil[len(snap.s_list) + l_s - 1]
+    return [v for v, d in zip(snap.s_list, snap.d_all) if d == need]
 
 
 def cover_set(g: LocalGraph, S: int, ext: int, gam: Gamma, u: int) -> int | None:
@@ -112,15 +127,22 @@ def cover_set(g: LocalGraph, S: int, ext: int, gam: Gamma, u: int) -> int | None
     when (P7)'s applicability conditions fail:
     d_S(u) ≥ ceil(γ|S|) and every non-neighbor v ∈ S of u has
     d_S(v) ≥ ceil(γ|S|)."""
-    s = S.bit_count()
-    thr = gam.ceil_mul(s)
-    if (g.adj[u] & S).bit_count() < thr:
+    return _cover(g.adj, S, ext, gam.ceil_mul(S.bit_count()), u)
+
+
+def _cover(adj: list[int], S: int, ext: int, thr: int, u: int) -> int | None:
+    """:func:`cover_set` with its threshold ceil(γ|S|) given."""
+    if (adj[u] & S).bit_count() < thr:
         return None
-    c = g.adj[u] & ext
-    for v in bits(S & ~g.adj[u]):
-        if (g.adj[v] & S).bit_count() < thr:
+    c = adj[u] & ext
+    rest = S & ~adj[u]
+    while rest:  # lowest bit first; stops at the first failing v
+        low = rest & -rest
+        a = adj[low.bit_length() - 1]
+        if (a & S).bit_count() < thr:
             return None
-        c &= g.adj[v]
+        c &= a
+        rest ^= low
     return c
 
 
@@ -131,11 +153,13 @@ def best_cover_vertex(
     paper describes — skip u once |N_ext(u)| cannot beat the current
     best. Degenerate case S = ∅: C = N(u) ∩ ext, u of max degree.
     Returns (u, C_mask); (None, 0) when no cover vertex applies."""
+    adj = g.adj
+    thr = gam.ceil_mul(S.bit_count())
     best_u, best_c, best_sz = None, 0, 0
     for u in bits(ext):
-        if (g.adj[u] & ext).bit_count() <= best_sz:
+        if (adj[u] & ext).bit_count() <= best_sz:
             continue
-        c = cover_set(g, S, ext, gam, u) if S else (g.adj[u] & ext)
+        c = _cover(adj, S, ext, thr, u) if S else (adj[u] & ext)
         if c is not None and c.bit_count() > best_sz:
             best_u, best_c, best_sz = u, c, c.bit_count()
     return best_u, best_c

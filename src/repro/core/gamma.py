@@ -30,6 +30,12 @@ class Gamma:
         """ceil(γ · x) for integer x ≥ 0, exactly."""
         return -((-self.num * x) // self.den)
 
+    def ceil_table(self, size: int) -> list[int]:
+        """``[ceil_mul(x) for x in range(size)]``, for loops that read
+        ceilings by index instead of calling :meth:`ceil_mul`."""
+        num, den = self.num, self.den
+        return [-((-num * x) // den) for x in range(size)]
+
     def floor_div(self, x: int) -> int:
         """floor(x / γ), exactly. Requires γ > 0."""
         if self.num == 0:

@@ -104,7 +104,14 @@ class Miner:
     def __post_init__(self):
         self.gamma = make_gamma(self.gamma)
         self._two_hop_cache: dict[int, int] = {}
-        self._alive = (1 << self.g.n) - 1
+        # ceil(γ·x) by index for every x the kernel reads, which is at
+        # most 2n (n = g.n). Each term below is a count of vertices of g:
+        # s = |S| ≤ n; t ≤ |ext| ≤ n for t ∈ {U_S, L_S} and the t the
+        # bound loops try; d_ext(v) ≤ n and d_ext(u) ≤ n. So s + t − 1,
+        # s − 1 + d_ext(v) (Thm 4) and s + d_ext(u) (Thm 3) are all
+        # ≤ 2n, s is ≤ n, and _is_qc reads |mask| − 1 < n. (With S and
+        # ext disjoint, as the miner keeps them, all of them are ≤ n.)
+        self._ceil = self.gamma.ceil_table(2 * self.g.n + 1)
 
     # ------------------------------------------------------------ util
     def _two_hop(self, v: int) -> int:
@@ -120,10 +127,14 @@ class Miner:
         s = mask.bit_count()
         if s == 0:
             return False
-        need = self.gamma.ceil_mul(s - 1)
-        for v in bits(mask):
-            if (self.g.adj[v] & mask).bit_count() < need:
+        need = self._ceil[s - 1]
+        adj = self.g.adj
+        rest = mask
+        while rest:  # lowest bit first; stops at the first failing v
+            low = rest & -rest
+            if (adj[low.bit_length() - 1] & mask).bit_count() < need:
                 return False
+            rest ^= low
         if 2 * self.gamma.num < self.gamma.den and not self.g.connected(mask):
             return False
         return True
@@ -141,15 +152,10 @@ class Miner:
         """Section 6.2 closing remark: ascending d_S, tie-broken by
         d_ext — so high-degree vertices stay in ext longer, maximizing
         lookahead hits."""
-        vs = list(bits(ext))
+        vs = bits(ext)
         if self.cfg.sort_ext:
-            vs.sort(
-                key=lambda u: (
-                    (self.g.adj[u] & S).bit_count(),
-                    (self.g.adj[u] & ext).bit_count(),
-                    u,
-                )
-            )
+            adj = self.g.adj
+            vs.sort(key=lambda u: ((adj[u] & S).bit_count(), (adj[u] & ext).bit_count(), u))
         return vs
 
     # ------------------------------------------------- Algorithm 2
@@ -159,14 +165,14 @@ class Miner:
         critical-vertex moves and ext may have shrunk. Guarantees
         ext' != 0 when ``pruned`` is false. Emits G(S) on the boundary
         paths exactly as Quick+ specifies."""
-        gam, adj, stats = self.gamma, self.g.adj, self.stats
+        gam, adj, stats, ceil = self.gamma, self.g.adj, self.stats, self._ceil
         while True:
             # --- one degree snapshot per round; bounds (P4, P5); Type II
             # may fire here (boundary fix)
             t0 = self.clock()
             snap = DegreeSnapshot(self.g, S, ext)
-            u_s = upper_bound(snap, gam)
-            l_s = lower_bound(snap, gam)
+            u_s = upper_bound(snap, gam, ceil)
+            l_s = lower_bound(snap, gam, ceil)
             stats.t_bounds += self.clock() - t0
             if l_s is None:
                 stats.n_type2_pruned += 1
@@ -182,7 +188,7 @@ class Miner:
 
             # --- critical vertices (P6), batched in Quick+
             t0 = self.clock()
-            crit = critical_vertices(snap, gam, l_s)
+            crit = critical_vertices(snap, gam, l_s, ceil)
             moved = 0
             for v in crit:
                 m = adj[v] & ext
@@ -206,21 +212,21 @@ class Miner:
             # Thm 6 needs d_S(v) ≥ need_u for v ∈ S, Thm 5 d_S(u) > need_u
             # for u ∈ ext.
             s = len(snap.s_list)
-            need_u = gam.ceil_mul(s + u_s - 1) - u_s
-            need_l = gam.ceil_mul(s + l_s - 1)  # Thms 7, 8
-            need_s = gam.ceil_mul(s)  # Thm 4(i)
+            need_u = ceil[s + u_s - 1] - u_s
+            need_l = ceil[s + l_s - 1]  # Thms 7, 8
+            need_s = ceil[s]  # Thm 4(i)
 
-            # --- Type II rules (Theorems 4, 6, 8)
+            # --- Type II rules (Theorems 4, 6, 8); d_all = d_S + d_ext
             ext_only_pruned = False
-            for d_ss, d_es in zip(snap.d_ss, snap.d_es):
+            for d_ss, d_all in zip(snap.d_ss, snap.d_all):
                 if (
-                    d_ss + d_es < gam.ceil_mul(s - 1 + d_es)  # Thm 4(ii)
+                    d_all < ceil[s - 1 + d_all - d_ss]  # Thm 4(ii)
                     or d_ss < need_u  # Thm 6
-                    or d_ss + d_es < need_l  # Thm 8
+                    or d_all < need_l  # Thm 8
                 ):
                     stats.n_type2_pruned += 1
                     return True, S, ext
-                if d_es == 0 and d_ss < need_s:  # Thm 4(i)
+                if d_all == d_ss and d_ss < need_s:  # Thm 4(i): d_ext(v) = 0
                     ext_only_pruned = True
             if ext_only_pruned:
                 self._emit_if_valid(S)  # Alg 2 lines 13–16
@@ -234,7 +240,7 @@ class Miner:
                     continue
                 d_ee = (adj[u] & ext).bit_count()
                 if (
-                    d_se + d_ee < gam.ceil_mul(s + d_ee)  # Thm 3
+                    d_se + d_ee < ceil[s + d_ee]  # Thm 3
                     or d_se + d_ee < need_l  # Thm 7
                 ):
                     removed |= 1 << u

@@ -36,6 +36,9 @@ class GlobalGraph:
     def __init__(self, n: int, adj: list[set[int]]):
         self.n = n
         self.adj = adj
+        # (alive vertices, rank) of the mining order: ``engine.spawn_all``
+        # records it on the pruned graph it returns, for the task loop
+        self.order: tuple[set[int], dict[int, int]] | None = None
 
     # ---------------------------------------------------------- build
     @classmethod

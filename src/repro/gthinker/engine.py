@@ -79,6 +79,8 @@ class RoundStats:
     decode_s: float  # merge the partitions' outputs into the job
     part_rows: list[int]  # task rows dealt to each partition, in partition order
     part_mine_s: list[float]  # mining time of each partition
+    part_mat_s: list[float]  # subgraph materialization time of each partition
+    part_filter_s: list[float]  # candidate filter time of each partition (serial: 0)
     part_wall_s: list[float]  # each partition body's own wall time, entry to return
 
     @property
@@ -107,6 +109,7 @@ class JobResult:
     results: set[frozenset[int]] = field(default_factory=set)
     maximal: set[frozenset[int]] = field(default_factory=set)
     job_time: float = 0.0
+    spawn_time: float = 0.0  # driver: preprocess, mining order and root tasks
     mine_time: float = 0.0  # sum of per-task mining time
     materialize_time: float = 0.0  # sum of subtask-subgraph build time
     # Spark path: ``results`` holds the candidates that survived each
@@ -149,7 +152,9 @@ def spawn_all(
 ):
     """Preprocess ((P2) k-core + two-hop-size prune), compute the
     mining order (degenerate (P7) recoding when enabled) and build all
-    root tasks. Returns (pruned GlobalGraph, list[SpawnTask]).
+    root tasks. Returns (pruned GlobalGraph, list[SpawnTask]); the
+    pruned graph's ``order`` holds the mining order's (alive, rank), so
+    the task loop does not compute it again.
 
     Raises ``ValueError`` for γ < 0.5: the (P1) two-hop shrink assumes
     a quasi-clique has diameter ≤ 2, which only holds for γ ≥ 0.5. Also
@@ -162,6 +167,7 @@ def spawn_all(
         raise ValueError(f"tau_size must be >= 2, got {tau_size}")
     pruned = gg.pruned_subgraph(gam, tau_size)
     alive, rank, skip = _mining_order(pruned, cfg)
+    pruned.order = alive, rank
     tasks = []
     for v in sorted(alive, key=lambda u: rank[u]):
         if v in skip:
@@ -304,8 +310,9 @@ def _task_loop(gg: GlobalGraph, gamma, tau_size: int, rounds, *, strategy: str,
     job = JobResult()
     t_start = time.perf_counter()
     pruned, roots = spawn_all(gg, gamma, tau_size, cfg)
+    job.spawn_time = time.perf_counter() - t_start
     job.n_root_tasks = len(roots)
-    alive, rank, _ = _mining_order(pruned, cfg)
+    alive, rank = pruned.order
     mine = partial(_mine_rows, gamma=make_gamma(gamma), tau_size=tau_size, strategy=strategy,
                    cfg=cfg, collect_task_features=collect_task_features, **kw)
     # Q_global: (cost, kind, s, ext) rows, biggest cost first. Round 0
@@ -330,7 +337,7 @@ def _task_loop(gg: GlobalGraph, gamma, tau_size: int, rounds, *, strategy: str,
                 feats += feat_rows
                 job.mine_time += st["mine"]
                 job.materialize_time += st["mat"]
-                job.worker_filter_time += st.get("filter", 0.0)
+                job.worker_filter_time += st["filter"]
                 job.stats.merge(MineStats(**st["stats"]))
             drained = sum(st["drained"] for st in part_stats)
             job.n_subtasks += drained + len(subs)
@@ -341,6 +348,8 @@ def _task_loop(gg: GlobalGraph, gamma, tau_size: int, rounds, *, strategy: str,
                 dispatch_s=t_decode - t_dispatch, decode_s=t_end - t_decode,
                 part_rows=[st["rows"] for st in part_stats],
                 part_mine_s=[st["mine"] for st in part_stats],
+                part_mat_s=[st["mat"] for st in part_stats],
+                part_filter_s=[st["filter"] for st in part_stats],
                 part_wall_s=[st["wall"] for st in part_stats],
             )
             job.rounds.append(rec)
@@ -375,7 +384,7 @@ def run_serial(
         def run_round(rows):
             t0 = time.perf_counter()
             out = mine(*graph, rows, deadline=math.inf)
-            out[2]["wall"] = time.perf_counter() - t0
+            out[2].update(filter=0.0, wall=time.perf_counter() - t0)
             return [out]
 
         return nullcontext(run_round)

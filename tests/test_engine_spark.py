@@ -158,7 +158,8 @@ class TestSparkEngine:
     @pytest.mark.parametrize("engine", ["serial", "spark"])
     def test_job_record_as_json(self, spark, comm_gg, engine):
         """to_json() holds the counters, times and round records, and no
-        result set."""
+        result set. The rounds' per-partition mat and filter times add up
+        to the job's; the serial round filters nothing."""
         kw = dict(strategy="split", tau_split=3)
         job = (run_serial(comm_gg, 0.85, 9, **kw) if engine == "serial"
                else run_spark(spark, comm_gg, 0.85, 9, **kw))
@@ -166,9 +167,20 @@ class TestSparkEngine:
         assert rec["rounds"] == [asdict(r) for r in job.rounds]
         assert rec["stats"] == asdict(job.stats)
         assert rec["job_time"] == job.job_time
+        assert 0 < rec["spawn_time"] == job.spawn_time < job.job_time
         for name in ("n_root_tasks", "n_subtasks", "n_rounds", "n_results", "n_maximal"):
             assert rec[name] == getattr(job, name)
         assert not {"results", "maximal", "task_features"} & rec.keys()
+        for r in rec["rounds"]:
+            assert len(r["part_mat_s"]) == len(r["part_filter_s"]) == len(r["part_rows"])
+            assert all(m <= w for m, w in zip(r["part_mat_s"], r["part_wall_s"]))
+        assert math.isclose(sum(sum(r.part_mat_s) for r in job.rounds), job.materialize_time)
+        assert math.isclose(sum(sum(r.part_filter_s) for r in job.rounds),
+                            job.worker_filter_time)
+        if engine == "serial":
+            assert job.worker_filter_time == 0.0
+        else:
+            assert job.worker_filter_time > 0
 
     def test_unknown_strategy_refused_on_the_driver(self, spark, comm_gg):
         with pytest.raises(ValueError, match="unknown strategy 'bogus'"):

@@ -112,3 +112,39 @@ class TestGammaBelowHalf:
         # connectivity check rejects the union.
         m = miner_for(4, [(0, 1), (2, 3)], gamma=0.3, tau=4)
         assert not m._is_qc(mask_of({0, 1, 2, 3}))
+
+
+class TestCeilingTable:
+    """The miner reads ceil(γ·x) from a table built once per task graph."""
+
+    @pytest.mark.parametrize("gamma", ["1/2", 0.89, 0.9, "2/3", 1.0])
+    def test_table_is_ceil_mul(self, gamma):
+        n = 12
+        m = miner_for(n, [(u, u + 1) for u in range(n - 1)], gamma=gamma)
+        gam = make_gamma(gamma)
+        assert len(m._ceil) == 2 * n + 1
+        assert m._ceil == [gam.ceil_mul(x) for x in range(2 * n + 1)]
+
+    def test_float_trap(self):
+        # 0.9 * 10 == 9.000000000000002 in floats; the table must hold 9
+        m = miner_for(12, [(0, 1)], gamma=0.9)
+        assert m._ceil[10] == 9
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 20])
+    @pytest.mark.parametrize("gamma", [0.5, 0.9, 1.0])
+    def test_largest_index_read_on_clique(self, n, gamma):
+        """On K_n with S = {0}, the bounding reads ceil(γ·(n − 1)) at most
+        (s + d_ext(u) with d_ext(u) = n − 2), inside the table."""
+
+        class Recording(list):
+            def __getitem__(self, i):
+                read.append(i)
+                return super().__getitem__(i)
+
+        read = []
+        m = miner_for(n, [(u, v) for u in range(n) for v in range(u + 1, n)],
+                      gamma=gamma, tau=2)
+        m._ceil = Recording(m._ceil)
+        m.iterative_bounding(1, ((1 << n) - 1) & ~1)
+        assert read and min(read) >= 0
+        assert max(read) == n - 1 < len(m._ceil)
