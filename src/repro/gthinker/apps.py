@@ -3,7 +3,7 @@
 Each workload is the paper's per-vertex divide-and-conquer task shape:
 a task spawned from v works on v's (1- or 2-hop) ego neighbourhood
 restricted to higher ids, so every triangle / clique / pattern match is
-counted exactly once. Tasks are dealt like the engine's rounds and
+counted exactly once. Tasks are dealt like the engine's root rows and
 run against a broadcast adjacency (the G-thinker vertex-store
 analogue), with a big-task-first scheduling knob (``prioritize_big``):
 the redesigned engine sorts spawn vertices by degree descending; the

@@ -1,39 +1,39 @@
 """The redesigned G-thinker execution engine, reproduced on PySpark.
 
 As in G-thinker, every task runs through one compute loop
-(``_task_loop``). It keeps the pending task rows, the global queue
-Q_global, and sorts them by estimated cost (|ext(S)|) descending before
-each round, so the biggest tasks start first (big-task prioritization).
-A *round executor* runs the round; inside it :func:`_mine_rows` is the
-only code that runs tasks (:func:`repro.gthinker.tasks.run_task`):
-after the task rows it was dealt, it pops the subtasks they spawned
-LIFO (the local queue Q_local) and mines them, pushing their children,
-until its deadline. What is left on its stack goes back to Q_global.
-Each round leaves one :class:`RoundStats` in ``JobResult.rounds``; the
-INFO log line of a round renders that record.
+(``_task_loop``). It lists the spawn vertices with an estimated cost,
+sorts them biggest first (big-task prioritization) and hands them to a
+*stage executor*; inside it :func:`_mine_rows` is the only code that runs
+tasks (:func:`repro.gthinker.tasks.run_task`). It pulls task rows from a
+queue, builds each root task where it runs, mines it, and pushes the
+subtasks a τ_time timeout or a τ_split split creates back to the queue.
+A job is one stage; it leaves one :class:`RoundStats` in
+``JobResult.rounds``, and the INFO log line of the job renders it.
 
 * :func:`run_serial` — single-threaded reference (the paper's "serial
-  mining time"; also the Quick+/Quick comparison harness): the round
-  runs in-process with no deadline, so one round drains every subtask.
-* :func:`run_spark` — the distributed engine: a round is one RDD stage.
-  The driver deals the sorted rows round-robin into n = min(parallelism,
-  rows) lists (:func:`_deal`), so big tasks spread evenly across cores —
-  the dataflow analogue of task stealing — and ``parallelize`` makes
-  each list one partition, with no shuffle. Under A_time a partition
-  drains for τ_time × (its task rows) from its start; A_base and
-  A_split ship every subtask.
+  mining time"; also the Quick+/Quick comparison harness): the stage
+  runs in-process, and its queue is a local stack (Q_local): the root
+  rows first, then every subtask LIFO.
+* :func:`run_spark` — the distributed engine: one RDD stage of n =
+  min(parallelism, rows) partitions, fed by a Q_global the driver holds
+  (:mod:`repro.gthinker.qglobal`). The driver deals the sorted rows
+  round-robin into n lists (:func:`_deal`), so big tasks spread evenly
+  across cores; a partition's first pull returns its own list. Every
+  subtask goes to the driver when it is created, and the next idle
+  partition pulls it, biggest first; an idle partition with no subtask
+  to pull takes one row from the largest list no partition has started
+  on (task stealing).
 
   The k-core-pruned input graph is shipped once per executor as a
   broadcast (the analogue of G-thinker's distributed vertex store +
   remote vertex cache: every vertex pulled at most once), together with
   the mining order computed once on the driver.
 
-  Task rows and partition outputs cross as pickled tuples of Python
-  ints, sets and dicts. As in the paper's engine, candidates stay on the
-  worker that found them until it has dropped those another of its
-  candidates contains; only the survivors reach the driver's final
-  maximality pass. Before it returns, a partition body drops the zip
-  importers from its reused Python worker's import cache
+  As in the paper's engine, candidates stay on the worker that found
+  them until it has dropped those another of its candidates contains;
+  only the survivors reach the driver's final maximality pass, in the
+  stage's one ``collect``. Before it returns, a partition body drops the
+  zip importers from its reused Python worker's import cache
   (:func:`_drop_zip_finders`): PySpark's per-task
   ``importlib.invalidate_caches()`` would otherwise re-read the whole
   directory of ``pyspark.zip`` and the spark-core jar on every task.
@@ -42,11 +42,9 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import sys
 import time
 import zipimport
-from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import TYPE_CHECKING
@@ -55,6 +53,7 @@ from ..core.gamma import make_gamma
 from ..core.postprocess import maximal_only, timed_maximal_only
 from ..core.quickplus import QUICK_PLUS, MineConfig, MineStats
 from ..graphs.global_graph import GlobalGraph
+from .qglobal import ROOT, SUB, Client, QGlobal, Server
 from .tasks import STRATEGIES, run_task
 
 if TYPE_CHECKING:  # pandas takes 0.5 s to import; fresh workers never need it
@@ -67,21 +66,25 @@ _log = logging.getLogger(__name__)
 
 @dataclass
 class RoundStats:
-    """One round of the task loop, as the driver saw it."""
+    """One stage of the task loop, as the driver saw it. A job with root
+    tasks runs one."""
 
     round: int
-    rows_in: int  # task rows dealt
-    drained: int  # subtasks mined on the partition that made them
-    shipped: int  # subtasks left on a stack: the next round's rows
+    rows_in: int  # spawn rows the driver dealt
+    drained: int  # subtasks run
+    shipped: int  # subtasks left when the stage ended: always 0, a stage runs them all
     result_rows: int  # candidates that reached the driver
     wall_s: float  # sort, dispatch and decode
     dispatch_s: float  # hand out the rows, run the partitions, collect
     decode_s: float  # merge the partitions' outputs into the job
-    part_rows: list[int]  # task rows dealt to each partition, in partition order
-    part_mine_s: list[float]  # mining time of each partition
-    part_mat_s: list[float]  # subgraph materialization time of each partition
-    part_filter_s: list[float]  # candidate filter time of each partition (serial: 0)
-    part_wall_s: list[float]  # each partition body's own wall time, entry to return
+    # Per partition, in partition order:
+    part_rows: list[int]  # rows run: its own list, pulled subtasks, rows of other lists
+    part_pulls: list[int]  # pulls made, the last of them answered "stop"
+    part_wait_s: list[float]  # time blocked in a pull
+    part_mine_s: list[float]  # mining time
+    part_mat_s: list[float]  # subgraph materialization time
+    part_filter_s: list[float]  # candidate filter time (serial: 0)
+    part_wall_s: list[float]  # the partition body's own wall time, entry to return
 
     @property
     def launch_s(self) -> float:
@@ -90,13 +93,15 @@ class RoundStats:
         return self.dispatch_s - max(self.part_wall_s)
 
     def __str__(self) -> str:
-        """The round's INFO log line."""
+        """The stage's INFO log line."""
         return (
             f"round {self.round}: {self.rows_in} task rows in, "
             f"{self.drained} subtasks drained, {self.shipped} shipped, "
             f"{self.result_rows} result rows, {self.wall_s:.3f} s wall, "
             f"partition mining max {max(self.part_mine_s):.3f} / "
             f"min {min(self.part_mine_s):.3f} s, "
+            f"{sum(self.part_pulls)} pulls, wait max {max(self.part_wait_s):.3f} / "
+            f"min {min(self.part_wait_s):.3f} s, "
             f"driver dispatch+collect {self.dispatch_s:.3f} / decode {self.decode_s:.3f} s, "
             f"launch {self.launch_s:.3f} s"
         )
@@ -109,7 +114,7 @@ class JobResult:
     results: set[frozenset[int]] = field(default_factory=set)
     maximal: set[frozenset[int]] = field(default_factory=set)
     job_time: float = 0.0
-    spawn_time: float = 0.0  # driver: preprocess, mining order and root tasks
+    spawn_time: float = 0.0  # driver: preprocess, mining order and spawn rows
     mine_time: float = 0.0  # sum of per-task mining time
     materialize_time: float = 0.0  # sum of subtask-subgraph build time
     # Spark path: ``results`` holds the candidates that survived each
@@ -117,15 +122,15 @@ class JobResult:
     # and ``postprocess_time`` is the driver's final pass alone.
     postprocess_time: float = 0.0
     worker_filter_time: float = 0.0  # sum of per-partition filter time
-    n_root_tasks: int = 0
-    n_subtasks: int = 0  # every subtask created, drained on a worker or shipped
+    n_root_tasks: int = 0  # root tasks built (a spawn row's task may prune away)
+    n_subtasks: int = 0  # every subtask created
     rounds: list[RoundStats] = field(default_factory=list)
     stats: MineStats = field(default_factory=MineStats)
     task_features: pd.DataFrame | None = None  # Tables 1–2 per-task rows
 
     @property
     def n_rounds(self) -> int:
-        """Serial path: 1 whenever there are root tasks."""
+        """1 whenever there are spawn rows, on either engine."""
         return len(self.rounds)
 
     @property
@@ -151,8 +156,13 @@ def spawn_all(
     gg: GlobalGraph, gamma, tau_size: int, cfg: MineConfig = QUICK_PLUS
 ):
     """Preprocess ((P2) k-core + two-hop-size prune), compute the
-    mining order (degenerate (P7) recoding when enabled) and build all
-    root tasks. Returns (pruned GlobalGraph, list[SpawnTask]); the
+    mining order (degenerate (P7) recoding when enabled) and list the
+    spawn vertices. Returns (pruned GlobalGraph, spawn rows): one
+    ``(v, cost)`` per vertex, in mining order, that (P7) does not skip
+    and that passes :meth:`GlobalGraph.spawn_task`'s first test, at
+    least k = ⌈γ(τ_size − 1)⌉ alive neighbours. The cost is v's number
+    of alive neighbours ranked above it. The root task itself is built
+    where it runs (:func:`_mine_rows`), and may still prune away. The
     pruned graph's ``order`` holds the mining order's (alive, rank), so
     the task loop does not compute it again.
 
@@ -168,14 +178,16 @@ def spawn_all(
     pruned = gg.pruned_subgraph(gam, tau_size)
     alive, rank, skip = _mining_order(pruned, cfg)
     pruned.order = alive, rank
-    tasks = []
-    for v in sorted(alive, key=lambda u: rank[u]):
+    k = gam.ceil_mul(tau_size - 1)
+    rows = []
+    for v in sorted(alive, key=rank.__getitem__):
         if v in skip:
             continue  # (P7) degenerate rule: subsets of N(v_max) cannot be maximal
-        t = pruned.spawn_task(v, rank, alive, gam, tau_size)
-        if t is not None:
-            tasks.append(t)
-    return pruned, tasks
+        nbrs = pruned.adj[v] & alive
+        if len(nbrs) >= k:
+            rv = rank[v]
+            rows.append((v, sum(rank[u] > rv for u in nbrs)))
+    return pruned, rows
 
 
 def _mining_order(pruned: GlobalGraph, cfg: MineConfig):
@@ -257,104 +269,124 @@ def _drop_zip_finders() -> None:
 
 
 def _mine_rows(
-    g_all: GlobalGraph, alive, rank, rows, gamma, tau_size: int,
-    deadline: float, *, collect_task_features: bool = False, **kw,
-) -> tuple[set, list, dict, list]:
-    """One partition's work in a round: run the ``(kind, s, ext)`` task
-    rows it was dealt, then drain its own subtasks (Q_local) LIFO until
-    ``deadline`` (a ``perf_counter`` time) has passed. Returns the
-    candidates found, the ``(S, ext)`` subtasks still on its stack, a
-    stats dict and the feature rows.
+    g_all: GlobalGraph, alive, rank, queue, gamma, tau_size: int,
+    *, collect_task_features: bool = False, **kw,
+) -> tuple[set, dict, list]:
+    """One partition's work: pull ``[kind, S ids, ext ids]`` task rows
+    from ``queue`` until a pull returns none, run each, and push the
+    ``(S, ext)`` subtasks each one creates back to ``queue`` at once.
+    Returns the candidates found, a stats dict and the feature rows.
 
     Root rows carry only the spawn vertex id; the ego-net task subgraph
-    is rebuilt from ``g_all`` (counted as materialization, like
+    is built here from ``g_all`` (counted as materialization, like
     G-thinker's frontier pulls)."""
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     acc = JobResult()  # accumulates this partition's outcomes
-    stack: list[tuple[frozenset, frozenset]] = []
     feat_rows = []
-    for kind, s_ids, e_ids in rows:
-        t_task0 = time.perf_counter()
-        if kind == "root":
-            t0 = time.perf_counter()
-            task = g_all.spawn_task(s_ids[0], rank, alive, gamma, tau_size)
-            acc.materialize_time += time.perf_counter() - t0
-            if task is None:
-                continue
-            out = run_task(task.graph, task.ids, task.s_mask, task.ext_mask,
-                           gamma, tau_size, **kw)
-            if collect_task_features:
-                feat_rows.append(_features_row(task, out, time.perf_counter() - t_task0))
-        else:
-            out = _run_subtask(g_all, s_ids, e_ids, gamma, tau_size, **kw)
-        stack.extend(_merge_outcome(acc, out))
-    while stack and time.perf_counter() < deadline:
-        s_set, ext_set = stack.pop()
-        out = _run_subtask(g_all, s_set, ext_set, gamma, tau_size, **kw)
-        stack.extend(_merge_outcome(acc, out))
-    stat = {"rows": len(rows), "mine": acc.mine_time, "mat": acc.materialize_time,
-            "drained": acc.n_subtasks - len(stack), "stats": acc.stats.__dict__}
-    return acc.results, stack, stat, feat_rows
+    n_rows = n_pulls = 0
+    wait = 0.0
+    while True:
+        t0 = time.perf_counter()
+        rows = queue.pull()
+        wait += time.perf_counter() - t0
+        n_pulls += 1
+        if not rows:
+            break
+        n_rows += len(rows)
+        for kind, s_ids, e_ids in rows:
+            t_task0 = time.perf_counter()
+            if kind == ROOT:
+                task = g_all.spawn_task(s_ids[0], rank, alive, gamma, tau_size)
+                acc.materialize_time += time.perf_counter() - t_task0
+                if task is None:
+                    continue
+                acc.n_root_tasks += 1
+                out = run_task(task.graph, task.ids, task.s_mask, task.ext_mask,
+                               gamma, tau_size, **kw)
+                if collect_task_features:
+                    feat_rows.append(_features_row(task, out, time.perf_counter() - t_task0))
+            else:
+                out = _run_subtask(g_all, s_ids, e_ids, gamma, tau_size, **kw)
+            subs = _merge_outcome(acc, out)
+            if subs:
+                queue.push(subs)
+    stat = {"rows": n_rows, "roots": acc.n_root_tasks, "subtasks": acc.n_subtasks,
+            "pulls": n_pulls, "wait": wait, "mine": acc.mine_time,
+            "mat": acc.materialize_time, "stats": acc.stats.__dict__}
+    return acc.results, stat, feat_rows
 
 
-def _task_loop(gg: GlobalGraph, gamma, tau_size: int, rounds, *, strategy: str,
+class _Stack:
+    """The in-process queue of :func:`run_serial` (Q_local): the first
+    pull returns the root rows; later ones pop one subtask, LIFO."""
+
+    def __init__(self, rows: list):
+        self._first = rows
+        self._stack: list = []
+
+    def pull(self) -> list:
+        if self._first is not None:
+            rows, self._first = self._first, None
+            return rows
+        return [self._stack.pop()] if self._stack else []
+
+    def push(self, subtasks) -> None:
+        self._stack.extend([SUB, s, e] for s, e in subtasks)
+
+
+def _task_loop(gg: GlobalGraph, gamma, tau_size: int, run_stage, *, strategy: str,
                cfg: MineConfig, collect_task_features: bool, **kw) -> JobResult:
-    """The task loop both engines share. ``rounds(graph, mine)`` is a
-    context manager yielding the round executor: given a round's sorted
-    ``(kind, s, ext)`` rows, it runs ``mine(*graph, rows, deadline=...)``,
-    i.e. :func:`_mine_rows`, on them and returns one ``(candidates,
-    (S, ext) subtasks left, stats dict, feature rows)`` tuple per
-    partition, in partition order."""
+    """The task loop both engines share. ``run_stage(graph, mine, rows)``
+    runs the job's one stage: ``mine(*graph, queue)``, i.e.
+    :func:`_mine_rows`, in every partition, with a queue whose first
+    rows are the sorted ``rows``. It returns one ``(candidates, stats
+    dict, feature rows)`` tuple per partition, in partition order."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     job = JobResult()
     t_start = time.perf_counter()
-    pruned, roots = spawn_all(gg, gamma, tau_size, cfg)
+    pruned, spawned = spawn_all(gg, gamma, tau_size, cfg)
     job.spawn_time = time.perf_counter() - t_start
-    job.n_root_tasks = len(roots)
     alive, rank = pruned.order
     mine = partial(_mine_rows, gamma=make_gamma(gamma), tau_size=tau_size, strategy=strategy,
                    cfg=cfg, collect_task_features=collect_task_features, **kw)
-    # Q_global: (cost, kind, s, ext) rows, biggest cost first. Round 0
-    # holds the roots; a root's cost is its |ext| after spawn_task's
-    # k-core shrink of the two-hop ego net, a subtask's is its |ext|.
-    pending = [(t.ext_mask.bit_count(), "root", [t.root], []) for t in roots]
     feats = []
-    with rounds((pruned, alive, rank), mine) as run_round:
-        while pending:
-            t_round = time.perf_counter()
-            pending.sort(key=lambda row: row[0], reverse=True)  # stable
-            t_dispatch = time.perf_counter()
-            parts = run_round([row[1:] for row in pending])
-            t_decode = time.perf_counter()
-            subs, part_stats = [], []
-            n_cands = 0
-            for cands, stack, st, feat_rows in parts:
-                job.results.update(cands)
-                n_cands += len(cands)
-                subs += stack
-                part_stats.append(st)
-                feats += feat_rows
-                job.mine_time += st["mine"]
-                job.materialize_time += st["mat"]
-                job.worker_filter_time += st["filter"]
-                job.stats.merge(MineStats(**st["stats"]))
-            drained = sum(st["drained"] for st in part_stats)
-            job.n_subtasks += drained + len(subs)
-            t_end = time.perf_counter()
-            rec = RoundStats(
-                round=job.n_rounds + 1, rows_in=len(pending), drained=drained,
-                shipped=len(subs), result_rows=n_cands, wall_s=t_end - t_round,
-                dispatch_s=t_decode - t_dispatch, decode_s=t_end - t_decode,
-                part_rows=[st["rows"] for st in part_stats],
-                part_mine_s=[st["mine"] for st in part_stats],
-                part_mat_s=[st["mat"] for st in part_stats],
-                part_filter_s=[st["filter"] for st in part_stats],
-                part_wall_s=[st["wall"] for st in part_stats],
-            )
-            job.rounds.append(rec)
-            _log.info("%s", rec)
-            pending = [(len(e), "sub", s, e) for s, e in subs]
+    if spawned:
+        t_round = time.perf_counter()
+        # big-task prioritization: biggest cost first (stable)
+        rows = [[ROOT, [v], []] for v, _ in sorted(spawned, key=lambda r: r[1], reverse=True)]
+        t_dispatch = time.perf_counter()
+        parts = run_stage((pruned, alive, rank), mine, rows)
+        t_decode = time.perf_counter()
+        part_stats = []
+        n_cands = 0
+        for cands, st, feat_rows in parts:
+            job.results.update(cands)
+            n_cands += len(cands)
+            part_stats.append(st)
+            feats += feat_rows
+            job.n_root_tasks += st["roots"]
+            job.n_subtasks += st["subtasks"]
+            job.mine_time += st["mine"]
+            job.materialize_time += st["mat"]
+            job.worker_filter_time += st["filter"]
+            job.stats.merge(MineStats(**st["stats"]))
+        t_end = time.perf_counter()
+        rec = RoundStats(
+            round=1, rows_in=len(rows),
+            drained=sum(st["rows"] for st in part_stats) - len(rows), shipped=0,
+            result_rows=n_cands, wall_s=t_end - t_round,
+            dispatch_s=t_decode - t_dispatch, decode_s=t_end - t_decode,
+            part_rows=[st["rows"] for st in part_stats],
+            part_pulls=[st["pulls"] for st in part_stats],
+            part_wait_s=[st["wait"] for st in part_stats],
+            part_mine_s=[st["mine"] for st in part_stats],
+            part_mat_s=[st["mat"] for st in part_stats],
+            part_filter_s=[st["filter"] for st in part_stats],
+            part_wall_s=[st["wall"] for st in part_stats],
+        )
+        job.rounds.append(rec)
+        _log.info("%s", rec)
     job.maximal, job.postprocess_time = timed_maximal_only(job.results)
     job.job_time = time.perf_counter() - t_start
     if collect_task_features:
@@ -375,19 +407,15 @@ def run_serial(
     cfg: MineConfig = QUICK_PLUS,
     collect_task_features: bool = False,
 ) -> JobResult:
-    """Single-threaded engine: the shared task loop with its round run
-    in-process, with no deadline and no candidate filter. So one round
-    drains every subtask LIFO and ``results`` holds every candidate.
-    Ground truth for the distributed runs."""
+    """Single-threaded engine: the shared task loop with its stage run
+    in-process on a local stack and no candidate filter. So ``results``
+    holds every candidate. Ground truth for the distributed runs."""
 
-    def in_process(graph, mine):
-        def run_round(rows):
-            t0 = time.perf_counter()
-            out = mine(*graph, rows, deadline=math.inf)
-            out[2].update(filter=0.0, wall=time.perf_counter() - t0)
-            return [out]
-
-        return nullcontext(run_round)
+    def in_process(graph, mine, rows):
+        t0 = time.perf_counter()
+        cands, stat, feat_rows = mine(*graph, _Stack(rows))
+        stat.update(filter=0.0, wall=time.perf_counter() - t0)
+        return [(cands, stat, feat_rows)]
 
     return _task_loop(gg, gamma, tau_size, in_process, strategy=strategy,
                       tau_split=tau_split, tau_time=tau_time, cfg=cfg,
@@ -407,23 +435,32 @@ def run_spark(
     parallelism: int | None = None,
     collect_task_features: bool = False,
 ) -> JobResult:
-    """Distributed engine (see module docstring for the mapping). Each
-    partition body ends by dropping its worker's zip importers, so the
-    next task's ``importlib.invalidate_caches()`` re-reads no archive."""
+    """Distributed engine (see module docstring for the mapping): one
+    stage of n partitions that pull from a Q_global served on
+    ``spark.driver.host``. Raises ``RuntimeError`` if a partition lost
+    its connection while it held rows, and refuses ``spark.speculation``,
+    whose killed attempts would do that. Each partition body ends by
+    dropping its worker's zip importers, so the next task's
+    ``importlib.invalidate_caches()`` re-reads no archive."""
     sc = spark.sparkContext
+    conf = sc.getConf()
+    if conf.get("spark.speculation", "false").lower() == "true":
+        raise ValueError("run_spark cannot run with spark.speculation on: a killed "
+                         "speculative attempt would take the task rows it holds with it")
     n_part = parallelism or sc.defaultParallelism
+    host = conf.get("spark.driver.host")
 
-    @contextmanager
-    def on_spark(graph, mine):
+    def on_spark(graph, mine, rows):
+        n = min(n_part, len(rows))
         bc = sc.broadcast(graph)
+        server = Server(QGlobal(_deal(rows, n)), host)
+        address, token = server.address, server.token
 
-        def mine_partition(rows):
-            """One partition's one element: the rows dealt to it. Under
-            A_time it drains for the time they were granted and did not use."""
+        def mine_partition(part):
+            """Partition ``part``'s one element is its index."""
             t_entry = time.perf_counter()
-            budget = tau_time * len(rows) if strategy == "time" else 0.0
-            deadline = time.perf_counter() + budget
-            cands, stack, stat, feat_rows = mine(*bc.value, rows, deadline=deadline)
+            with Client(address, token, part) as queue:
+                cands, stat, feat_rows = mine(*bc.value, queue)
             # A candidate strictly inside another candidate is not
             # maximal, so dropping it here never loses a global maximal
             # set; the driver's final pass removes what other partitions
@@ -434,18 +471,16 @@ def run_spark(
             stat["filter"] = time.perf_counter() - t0
             _drop_zip_finders()
             stat["wall"] = time.perf_counter() - t_entry
-            return kept, stack, stat, feat_rows
-
-        def run_round(rows):
-            n = min(n_part, len(rows))
-            # n lists into n slices: parallelize keeps each list whole
-            # as its partition's one element, so the deal is exact.
-            return sc.parallelize(_deal(rows, n), n).map(mine_partition).collect()
+            return kept, stat, feat_rows
 
         try:
-            yield run_round
+            parts = sc.parallelize(range(n), n).map(mine_partition).collect()
         finally:
+            server.close()
             bc.unpersist()
+        if server.queue.failed:
+            raise RuntimeError("a partition lost its Q_global connection while it held task rows")
+        return parts
 
     return _task_loop(gg, gamma, tau_size, on_spark, strategy=strategy,
                       tau_split=tau_split, tau_time=tau_time, cfg=cfg,

@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.gamma import make_gamma
 from repro.core.quickplus import MineConfig
 from repro.graphs.datasets import load_dataset
 from repro.graphs.generators import edges_pdf, planted_community_graph
@@ -19,23 +20,43 @@ def comm_gg():
     )
 
 
+def built_roots(gg, gamma, tau, cfg=MineConfig()):
+    """The root tasks of spawn_all's rows that spawn_task builds."""
+    pruned, rows = spawn_all(gg, gamma, tau, cfg)
+    alive, rank = pruned.order
+    tasks = (pruned.spawn_task(v, rank, alive, make_gamma(gamma), tau) for v, _ in rows)
+    return [t for t in tasks if t is not None]
+
+
 class TestSpawnAll:
     def test_degenerate_cover_skips_vmax_neighbors(self, comm_gg):
-        pruned, roots_plus = spawn_all(comm_gg, 0.85, 8)
-        _, roots_all = spawn_all(comm_gg, 0.85, 8, MineConfig(degenerate_cover=False))
+        roots_plus = built_roots(comm_gg, 0.85, 8)
+        roots_all = built_roots(comm_gg, 0.85, 8, MineConfig(degenerate_cover=False))
         assert len(roots_plus) <= len(roots_all)
 
     def test_roots_meet_size_threshold(self, comm_gg):
-        _, roots = spawn_all(comm_gg, 0.85, 8)
+        roots = built_roots(comm_gg, 0.85, 8)
+        assert roots
         for t in roots:
             assert t.graph.n >= 1
             assert (t.s_mask | t.ext_mask).bit_count() >= 8
             assert t.s_mask.bit_count() == 1
 
     def test_spawn_masks_disjoint(self, comm_gg):
-        _, roots = spawn_all(comm_gg, 0.85, 8)
-        for t in roots:
+        for t in built_roots(comm_gg, 0.85, 8):
             assert t.s_mask & t.ext_mask == 0
+
+    def test_rows_list_every_root_with_its_higher_ranked_degree(self, comm_gg):
+        """One row per spawn vertex in mining order, each root built from
+        one; the cost counts the alive neighbours ranked above v."""
+        pruned, rows = spawn_all(comm_gg, 0.85, 8)
+        alive, rank = pruned.order
+        assert [rank[v] for v, _ in rows] == sorted(rank[v] for v, _ in rows)
+        for v, cost in rows:
+            assert cost == sum(rank[u] > rank[v] for u in pruned.adj[v] & alive)
+        assert {t.root for t in built_roots(comm_gg, 0.85, 8)} <= {v for v, _ in rows}
+        job = run_serial(comm_gg, 0.85, 8)
+        assert job.n_root_tasks == len(built_roots(comm_gg, 0.85, 8)) < len(rows)
 
     def test_gamma_below_half_refused(self):
         # A 6-cycle is a 0.4-quasi-clique (every degree 2 ≥ ceil(0.4·5)),
@@ -70,16 +91,21 @@ class TestTaskLoop:
             r"round 1: (\d+) task rows in, (\d+) subtasks drained, 0 shipped, "
             r"(\d+) result rows, [\d.]+ s wall, "
             r"partition mining max ([\d.]+) / min ([\d.]+) s, "
+            r"(\d+) pulls, wait max ([\d.]+) / min ([\d.]+) s, "
             r"driver dispatch\+collect [\d.]+ / decode [\d.]+ s, "
             r"launch [\d.]+ s", lines[0])
         assert m is not None, lines[0]
         assert lines[0] == str(job.rounds[0])
-        assert int(m[1]) == job.n_root_tasks
+        assert int(m[1]) == len(spawn_all(comm_gg, 0.85, 8)[1]) >= job.n_root_tasks
         assert int(m[2]) == job.n_subtasks
         assert int(m[3]) == job.n_results
         assert m[4] == m[5]  # one partition
+        # one pull for the root rows, one per subtask, one answered "stop"
+        assert int(m[6]) == job.n_subtasks + 2
+        assert m[7] == m[8]
         rec = job.rounds[0]
         assert len(rec.part_wall_s) == 1
+        assert rec.part_rows == [rec.rows_in + job.n_subtasks]
         assert rec.part_mine_s[0] <= rec.part_wall_s[0] <= rec.dispatch_s
 
 

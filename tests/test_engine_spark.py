@@ -4,6 +4,7 @@ import logging
 import math
 import random
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,8 +18,9 @@ from repro.graphs.datasets import load_dataset
 from repro.graphs.generators import edges_pdf, planted_community_graph
 from repro.graphs.global_graph import GlobalGraph
 from repro.gthinker.engine import (
-    _mine_rows, _mining_order, run_serial, run_spark, spawn_all,
+    _mine_rows, _mining_order, _Stack, run_serial, run_spark, spawn_all,
 )
+from repro.gthinker.qglobal import ROOT
 from repro.gthinker.tasks import run_task
 
 
@@ -128,32 +130,61 @@ class TestSparkEngine:
         assert job.n_root_tasks > 0
 
     @pytest.mark.parametrize("parallelism", [1, 2, 4])
-    def test_round_record_and_deal(self, spark, comm_gg, caplog, parallelism):
-        """Partition j of a round of L rows is dealt ⌈(L − j)/n⌉ of them,
-        n = min(parallelism, L); the round record adds up to the job and
-        is what the log line shows."""
+    def test_one_stage_record(self, spark, comm_gg, caplog, parallelism):
+        """A job is one stage that runs every row: each spawn row once and
+        each subtask once, wherever it was pulled. The record adds up to
+        the job and is what the log line shows."""
         caplog.set_level(logging.INFO, logger="repro.gthinker.engine")
         job = run_spark(spark, comm_gg, 0.85, 9, strategy="split", tau_split=3,
                         parallelism=parallelism)
-        assert job.n_rounds == len(job.rounds) > 1
-        assert job.rounds[0].rows_in == job.n_root_tasks
-        for prev, rec in zip(job.rounds, job.rounds[1:]):
-            assert rec.rows_in == prev.shipped
-        assert job.rounds[-1].shipped == 0
-        for k, rec in enumerate(job.rounds, 1):
-            n = min(parallelism, rec.rows_in)
-            assert rec.round == k
-            assert rec.part_rows == [math.ceil((rec.rows_in - j) / n) for j in range(n)]
-            assert len(rec.part_mine_s) == len(rec.part_wall_s) == n
-            assert all(m <= w for m, w in zip(rec.part_mine_s, rec.part_wall_s))
-            assert 0 <= rec.launch_s == rec.dispatch_s - max(rec.part_wall_s)
-            assert rec.dispatch_s + rec.decode_s <= rec.wall_s
-        assert sum(r.drained + r.shipped for r in job.rounds) == job.n_subtasks
-        assert sum(r.result_rows for r in job.rounds) >= job.n_results
-        assert math.isclose(sum(sum(r.part_mine_s) for r in job.rounds), job.mine_time)
+        n_spawn = len(spawn_all(comm_gg, 0.85, 9)[1])
+        assert job.n_rounds == len(job.rounds) == 1
+        rec = job.rounds[0]
+        n = min(parallelism, n_spawn)
+        assert rec.round == 1 and rec.rows_in == n_spawn >= job.n_root_tasks > 0
+        assert rec.shipped == 0
+        assert job.n_subtasks > 0
+        assert sum(rec.part_rows) == n_spawn + job.n_subtasks
+        assert rec.drained == job.n_subtasks
+        for per_part in (rec.part_rows, rec.part_pulls, rec.part_wait_s, rec.part_mine_s,
+                         rec.part_mat_s, rec.part_filter_s, rec.part_wall_s):
+            assert len(per_part) == n
+        # the last pull answers "stop"; a late partition may find its rows taken
+        assert all(p >= 1 + (r > 0) for p, r in zip(rec.part_pulls, rec.part_rows))
+        assert all(w <= t for w, t in zip(rec.part_wait_s, rec.part_wall_s))
+        assert all(m <= w for m, w in zip(rec.part_mine_s, rec.part_wall_s))
+        assert 0 <= rec.launch_s == rec.dispatch_s - max(rec.part_wall_s)
+        assert rec.dispatch_s + rec.decode_s <= rec.wall_s
+        assert rec.result_rows >= job.n_results
+        assert math.isclose(sum(rec.part_mine_s), job.mine_time)
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "repro.gthinker.engine"]
-        assert lines == [str(rec) for rec in job.rounds]
+        assert lines == [str(rec)]
+
+    @pytest.mark.parametrize("strategy,kw", [
+        ("base", {}),
+        ("split", dict(tau_split=3)),
+        ("time", dict(tau_time=0.0)),
+    ])
+    @pytest.mark.parametrize("partitions", ["one", "twice the cores"])
+    def test_matches_serial_at_any_parallelism(self, spark, comm_gg, strategy, kw, partitions):
+        """Parallelism 1, and twice the cores: more partitions than Spark
+        runs at once, so some start after others have taken their rows."""
+        parallelism = 1 if partitions == "one" else 2 * spark.sparkContext.defaultParallelism
+        serial = run_serial(comm_gg, 0.85, 9, strategy=strategy, **kw)
+        job = run_spark(spark, comm_gg, 0.85, 9, strategy=strategy,
+                        parallelism=parallelism, **kw)
+        assert job.maximal == serial.maximal
+        assert job.n_root_tasks == serial.n_root_tasks
+        if strategy != "time":  # timeouts make A_time's subtasks vary
+            assert job.n_subtasks == serial.n_subtasks
+        assert len(job.rounds[0].part_rows) == min(parallelism, job.rounds[0].rows_in)
+
+    def test_speculation_refused(self, comm_gg):
+        conf = {"spark.speculation": "true"}
+        sc = SimpleNamespace(getConf=lambda: SimpleNamespace(get=lambda k, d=None: conf.get(k, d)))
+        with pytest.raises(ValueError, match="spark.speculation"):
+            run_spark(SimpleNamespace(sparkContext=sc), comm_gg, 0.85, 9)
 
     @pytest.mark.parametrize("engine", ["serial", "spark"])
     def test_job_record_as_json(self, spark, comm_gg, engine):
@@ -194,44 +225,45 @@ class TestSparkEngine:
 
 
 class TestLocalDrain:
-    """One partition's body, run in-process on every root task at
+    """One partition's body, run in-process on every spawn row at
     τ_time = 0, where each task decomposes the same way on every run."""
 
     KW = dict(strategy="time", tau_split=50, tau_time=0.0, cfg=QUICK_PLUS)
 
     @pytest.fixture(scope="class")
     def partition(self, comm_gg):
-        pruned, roots = spawn_all(comm_gg, 0.85, 9)
+        pruned, spawned = spawn_all(comm_gg, 0.85, 9)
         alive, rank, _ = _mining_order(pruned, QUICK_PLUS)
-        rows = [("root", [t.root], []) for t in roots]
-        return pruned, alive, rank, roots, rows
+        rows = [[ROOT, [v], []] for v, _ in spawned]
+        return pruned, alive, rank, rows
 
-    def mine(self, partition, deadline):
-        pruned, alive, rank, _, rows = partition
-        cands, stack, stat, _ = _mine_rows(pruned, alive, rank, rows,
-                                           make_gamma(0.85), 9, deadline, **self.KW)
-        by_kind = {"res": [("res", list(s)) for s in cands],
-                   "sub": [("sub", list(s), list(e)) for s, e in stack]}
-        return by_kind, stat
+    def mine(self, partition, queue):
+        pruned, alive, rank, _ = partition
+        return _mine_rows(pruned, alive, rank, queue, make_gamma(0.85), 9, **self.KW)
 
     def test_unbounded_drain_ships_no_subtask(self, partition, comm_gg):
-        rows, stat = self.mine(partition, math.inf)
-        assert rows["sub"] == []
-        assert stat["drained"] == stat["stats"]["n_subtasks"] > 0
-        found = maximal_only(frozenset(r[1]) for r in rows["res"])
-        assert found == run_serial(comm_gg, 0.85, 9, strategy="base").maximal
+        """On run_serial's stack, every subtask is mined where it was made."""
+        cands, stat, _ = self.mine(partition, _Stack(partition[3]))
+        assert stat["rows"] == len(partition[3]) + stat["subtasks"]
+        assert stat["subtasks"] == stat["stats"]["n_subtasks"] > 0
+        assert stat["pulls"] == stat["subtasks"] + 2
+        assert maximal_only(cands) == run_serial(comm_gg, 0.85, 9, strategy="base").maximal
 
-    def test_past_deadline_ships_what_run_task_returns(self, partition):
-        rows, stat = self.mine(partition, 0)
-        assert stat["drained"] == 0
-        expect = set()
-        for t in partition[3]:
-            out = run_task(t.graph, t.ids, t.s_mask, t.ext_mask,
-                           make_gamma(0.85), 9, **self.KW)
-            expect.update(out.subtasks)
-        shipped = [(frozenset(r[1]), frozenset(r[2])) for r in rows["sub"]]
-        assert len(shipped) == len(expect) > 0
-        assert set(shipped) == expect
+    def test_pushes_what_run_task_returns(self, partition):
+        """Each subtask is pushed once, as run_task made it."""
+        pushed = []
+        queue = SimpleNamespace(pull=iter([partition[3], []]).__next__, push=pushed.extend)
+        _, stat, _ = self.mine(partition, queue)
+        assert stat["pulls"] == 2 and stat["rows"] == len(partition[3])
+        pruned, alive, rank, rows = partition
+        expect = []
+        for _, (v,), _ in rows:
+            t = pruned.spawn_task(v, rank, alive, make_gamma(0.85), 9)
+            if t is not None:
+                expect += run_task(t.graph, t.ids, t.s_mask, t.ext_mask,
+                                   make_gamma(0.85), 9, **self.KW).subtasks
+        assert len(pushed) == len(expect) == stat["subtasks"] > 0
+        assert set(pushed) == set(expect)
 
 
 def test_spark_small_dataset_matches_serial(spark):

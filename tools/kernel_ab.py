@@ -52,11 +52,21 @@ def run_ab(src_a: Path, src_b: Path, dataset: str, passes: int = 1) -> dict:
         return _interleave(sides, dataset, passes) | {"a_src": str(src_a), "b_src": str(src_b)}
 
 
+def _root_tasks(engine, gg, spec) -> list:
+    """The root tasks one side builds: ``spawn_all`` lists ``(v, cost)``
+    spawn rows and ``spawn_task`` builds each, dropping those that prune
+    away."""
+    pruned, rows = engine.spawn_all(gg, spec.gamma, spec.tau_size)
+    alive, rank = pruned.order
+    tasks = (pruned.spawn_task(v, rank, alive, spec.gamma, spec.tau_size) for v, _ in rows)
+    return [t for t in tasks if t is not None]
+
+
 def _interleave(sides, dataset: str, passes: int) -> dict:
     spawned = []
     for datasets, engine, _ in sides:
         gg, spec = datasets.load_dataset(dataset)
-        spawned.append(engine.spawn_all(gg, spec.gamma, spec.tau_size)[1])
+        spawned.append(_root_tasks(engine, gg, spec))
     roots = [t.root for t in spawned[0]]
     if roots != [t.root for t in spawned[1]]:
         raise AssertionError(f"{dataset}: the two sides spawn different root tasks")
