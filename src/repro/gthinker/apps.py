@@ -3,11 +3,11 @@
 Each workload is the paper's per-vertex divide-and-conquer task shape:
 a task spawned from v works on v's (1- or 2-hop) ego neighbourhood
 restricted to higher ids, so every triangle / clique / pattern match is
-counted exactly once. Tasks are dealt like the engine's root rows and
-run against a broadcast adjacency (the G-thinker vertex-store
-analogue), with a big-task-first scheduling knob (``prioritize_big``):
-the redesigned engine sorts spawn vertices by degree descending; the
-old engine takes them in arbitrary id order.
+counted exactly once. On Spark the spawn vertices are the rows of the
+mining engine's stage (:func:`repro.gthinker.qglobal.run_stage`), run
+against a broadcast adjacency. Table 4's two engines differ only in the
+row order (``prioritize_big``): the redesigned engine sorts spawn
+vertices by degree descending; the old engine takes them in id order.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from ..core.bitset import mask_of
 from ..core.maxclique import max_clique
 from ..graphs.global_graph import GlobalGraph
-from .engine import _deal, _drop_zip_finders
+from .qglobal import run_stage
 
 __all__ = ["AppResult", "run_app_spark", "run_app_serial"]
 
@@ -92,26 +92,23 @@ def run_app_spark(
     parallelism: int | None = None,
     prioritize_big: bool = True,
 ) -> AppResult:
-    """One round of per-vertex tasks, dealt over one RDD stage."""
+    """One stage of per-vertex tasks; a partition combines the kernel
+    values of the vertex ids it pulls, if any."""
     kernel, combine = _APP_KERNELS[app], _APP_COMBINE[app]
-    sc = spark.sparkContext
-    n_part = parallelism or sc.defaultParallelism
     t0 = time.perf_counter()
     verts = [v for v in range(gg.n) if gg.adj[v]]
     if not verts:
         return AppResult(0, time.perf_counter() - t0, 0)
     if prioritize_big:
         verts.sort(key=lambda v: -len(gg.adj[v]))
-    bc = sc.broadcast(gg)
 
-    def work(vs):
-        g_all: GlobalGraph = bc.value
-        value = combine([kernel(g_all, v) for v in vs])
-        _drop_zip_finders()  # see run_spark
-        return value
+    def work(g_all: GlobalGraph, queue) -> list[int]:
+        vals = []
+        while vs := queue.pull():
+            vals += [kernel(g_all, v) for v in vs]
+        return [combine(vals)] if vals else []
 
-    n = min(n_part, len(verts))
-    value = combine(sc.parallelize(_deal(verts, n), n).map(work).collect())
-    bc.unpersist()
+    parts = run_stage(spark.sparkContext, parallelism, gg, verts, work)
+    value = combine([v for vals, _ in parts for v in vals])
     return AppResult(value=int(value), job_time=time.perf_counter() - t0,
                      n_tasks=len(verts))

@@ -7,22 +7,19 @@ sorts them biggest first (big-task prioritization) and hands them to a
 tasks (:func:`repro.gthinker.tasks.run_task`). It pulls task rows from a
 queue, builds each root task where it runs, mines it, and pushes the
 subtasks a τ_time timeout or a τ_split split creates back to the queue.
-A job is one stage; it leaves one :class:`RoundStats` in
-``JobResult.rounds``, and the INFO log line of the job renders it.
+A job is one stage; it leaves one :class:`StageStats` in
+``JobResult.stage``, and the INFO log line of the job renders it.
 
 * :func:`run_serial` — single-threaded reference (the paper's "serial
   mining time"; also the Quick+/Quick comparison harness): the stage
   runs in-process, and its queue is a local stack (Q_local): the root
   rows first, then every subtask LIFO.
-* :func:`run_spark` — the distributed engine: one RDD stage of n =
-  min(parallelism, rows) partitions, fed by a Q_global the driver holds
-  (:mod:`repro.gthinker.qglobal`). The driver deals the sorted rows
-  round-robin into n lists (:func:`_deal`), so big tasks spread evenly
-  across cores; a partition's first pull returns its own list. Every
-  subtask goes to the driver when it is created, and the next idle
-  partition pulls it, biggest first; an idle partition with no subtask
-  to pull takes one row from the largest list no partition has started
-  on (task stealing).
+* :func:`run_spark` — the distributed engine: one RDD stage whose
+  partitions pull from a Q_global the driver holds
+  (:func:`repro.gthinker.qglobal.run_stage`). It deals the sorted rows
+  round-robin, so big tasks spread evenly across cores, and serves each
+  subtask to the next idle partition as soon as it is created (task
+  stealing).
 
   The k-core-pruned input graph is shipped once per executor as a
   broadcast (the analogue of G-thinker's distributed vertex store +
@@ -32,11 +29,7 @@ A job is one stage; it leaves one :class:`RoundStats` in
   As in the paper's engine, candidates stay on the worker that found
   them until it has dropped those another of its candidates contains;
   only the survivors reach the driver's final maximality pass, in the
-  stage's one ``collect``. Before it returns, a partition body drops the
-  zip importers from its reused Python worker's import cache
-  (:func:`_drop_zip_finders`): PySpark's per-task
-  ``importlib.invalidate_caches()`` would otherwise re-read the whole
-  directory of ``pyspark.zip`` and the spark-core jar on every task.
+  stage's one ``collect``.
 """
 from __future__ import annotations
 
@@ -44,7 +37,6 @@ import json
 import logging
 import sys
 import time
-import zipimport
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import TYPE_CHECKING
@@ -53,26 +45,22 @@ from ..core.gamma import make_gamma
 from ..core.postprocess import maximal_only, timed_maximal_only
 from ..core.quickplus import QUICK_PLUS, MineConfig, MineStats
 from ..graphs.global_graph import GlobalGraph
-from .qglobal import ROOT, SUB, Client, QGlobal, Server
+from .qglobal import ROOT, SUB, run_stage
 from .tasks import STRATEGIES, run_task
 
 if TYPE_CHECKING:  # pandas takes 0.5 s to import; fresh workers never need it
     import pandas as pd
 
-__all__ = ["JobResult", "RoundStats", "run_serial", "run_spark", "spawn_all"]
+__all__ = ["JobResult", "StageStats", "run_serial", "run_spark", "spawn_all"]
 
 _log = logging.getLogger(__name__)
 
 
 @dataclass
-class RoundStats:
-    """One stage of the task loop, as the driver saw it. A job with root
-    tasks runs one."""
+class StageStats:
+    """The one stage of a job with spawn rows, as the driver saw it."""
 
-    round: int
     rows_in: int  # spawn rows the driver dealt
-    drained: int  # subtasks run
-    shipped: int  # subtasks left when the stage ended: always 0, a stage runs them all
     result_rows: int  # candidates that reached the driver
     wall_s: float  # sort, dispatch and decode
     dispatch_s: float  # hand out the rows, run the partitions, collect
@@ -95,8 +83,8 @@ class RoundStats:
     def __str__(self) -> str:
         """The stage's INFO log line."""
         return (
-            f"round {self.round}: {self.rows_in} task rows in, "
-            f"{self.drained} subtasks drained, {self.shipped} shipped, "
+            f"stage: {self.rows_in} task rows in, "
+            f"{sum(self.part_rows) - self.rows_in} subtasks run, "
             f"{self.result_rows} result rows, {self.wall_s:.3f} s wall, "
             f"partition mining max {max(self.part_mine_s):.3f} / "
             f"min {min(self.part_mine_s):.3f} s, "
@@ -124,14 +112,14 @@ class JobResult:
     worker_filter_time: float = 0.0  # sum of per-partition filter time
     n_root_tasks: int = 0  # root tasks built (a spawn row's task may prune away)
     n_subtasks: int = 0  # every subtask created
-    rounds: list[RoundStats] = field(default_factory=list)
+    stage: StageStats | None = None
     stats: MineStats = field(default_factory=MineStats)
     task_features: pd.DataFrame | None = None  # Tables 1–2 per-task rows
 
     @property
     def n_rounds(self) -> int:
         """1 whenever there are spawn rows, on either engine."""
-        return len(self.rounds)
+        return int(self.stage is not None)
 
     @property
     def n_results(self) -> int:
@@ -143,12 +131,12 @@ class JobResult:
 
     def to_json(self) -> str:
         """The job record: job-level counters and times, the miner's
-        phase counters and one dict per round, without the result sets."""
+        phase counters and the stage record, without the result sets."""
         rec = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("results", "maximal", "stats", "rounds", "task_features")}
+               if f.name not in ("results", "maximal", "stats", "stage", "task_features")}
         rec.update(n_rounds=self.n_rounds, n_results=self.n_results,
                    n_maximal=self.n_maximal, stats=asdict(self.stats),
-                   rounds=[asdict(r) for r in self.rounds])
+                   stage=asdict(self.stage) if self.stage else None)
         return json.dumps(rec)
 
 
@@ -248,26 +236,6 @@ def _features_row(task, outcome, elapsed: float) -> dict:
     }
 
 
-def _deal(rows: list, n: int) -> list[list]:
-    """Deal ``rows`` round-robin into ``n`` slots: row i goes to slot
-    i mod n, at position i // n. On cost-sorted rows every slot gets
-    one of the n biggest tasks, then one of the next n, and so on."""
-    return [rows[j::n] for j in range(n)]
-
-
-def _drop_zip_finders() -> None:
-    """Forget every zip importer in ``sys.path_importer_cache``. Call it
-    only at the end of a Spark partition body: PySpark runs
-    ``importlib.invalidate_caches()`` before each task, and a cached
-    ``zipimporter`` then re-reads its archive's whole directory. The
-    entries are deleted, not set to None (None means "no finder here");
-    an import that needs one again rebuilds it from
-    ``zipimport._zip_directory_cache`` without reading the archive."""
-    for path, finder in list(sys.path_importer_cache.items()):
-        if isinstance(finder, zipimport.zipimporter):
-            del sys.path_importer_cache[path]
-
-
 def _mine_rows(
     g_all: GlobalGraph, alive, rank, queue, gamma, tau_size: int,
     *, collect_task_features: bool = False, **kw,
@@ -312,8 +280,19 @@ def _mine_rows(
                 queue.push(subs)
     stat = {"rows": n_rows, "roots": acc.n_root_tasks, "subtasks": acc.n_subtasks,
             "pulls": n_pulls, "wait": wait, "mine": acc.mine_time,
-            "mat": acc.materialize_time, "stats": acc.stats.__dict__}
+            "mat": acc.materialize_time, "filter": 0.0, "stats": acc.stats.__dict__}
     return acc.results, stat, feat_rows
+
+
+def _mine_and_filter(mine, graph, queue) -> tuple[set, dict, list]:
+    """A Spark partition's body: ``mine(*graph, queue)``, then drop the
+    candidates another of them contains, which are not maximal. (Not
+    timed_maximal_only: tracers patch that on the driver.)"""
+    cands, stat, feat_rows = mine(*graph, queue)
+    t0 = time.perf_counter()
+    kept = maximal_only(cands)
+    stat["filter"] = time.perf_counter() - t0
+    return kept, stat, feat_rows
 
 
 class _Stack:
@@ -334,13 +313,13 @@ class _Stack:
         self._stack.extend([SUB, s, e] for s, e in subtasks)
 
 
-def _task_loop(gg: GlobalGraph, gamma, tau_size: int, run_stage, *, strategy: str,
+def _task_loop(gg: GlobalGraph, gamma, tau_size: int, executor, *, strategy: str,
                cfg: MineConfig, collect_task_features: bool, **kw) -> JobResult:
-    """The task loop both engines share. ``run_stage(graph, mine, rows)``
+    """The task loop both engines share. ``executor(graph, mine, rows)``
     runs the job's one stage: ``mine(*graph, queue)``, i.e.
     :func:`_mine_rows`, in every partition, with a queue whose first
-    rows are the sorted ``rows``. It returns one ``(candidates, stats
-    dict, feature rows)`` tuple per partition, in partition order."""
+    rows are the sorted ``rows``. It returns ``((candidates, stats dict,
+    feature rows), wall seconds)`` per partition, in partition order."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     job = JobResult()
@@ -356,11 +335,12 @@ def _task_loop(gg: GlobalGraph, gamma, tau_size: int, run_stage, *, strategy: st
         # big-task prioritization: biggest cost first (stable)
         rows = [[ROOT, [v], []] for v, _ in sorted(spawned, key=lambda r: r[1], reverse=True)]
         t_dispatch = time.perf_counter()
-        parts = run_stage((pruned, alive, rank), mine, rows)
+        parts = executor((pruned, alive, rank), mine, rows)
         t_decode = time.perf_counter()
         part_stats = []
         n_cands = 0
-        for cands, st, feat_rows in parts:
+        for (cands, st, feat_rows), wall in parts:
+            st["wall"] = wall
             job.results.update(cands)
             n_cands += len(cands)
             part_stats.append(st)
@@ -372,10 +352,8 @@ def _task_loop(gg: GlobalGraph, gamma, tau_size: int, run_stage, *, strategy: st
             job.worker_filter_time += st["filter"]
             job.stats.merge(MineStats(**st["stats"]))
         t_end = time.perf_counter()
-        rec = RoundStats(
-            round=1, rows_in=len(rows),
-            drained=sum(st["rows"] for st in part_stats) - len(rows), shipped=0,
-            result_rows=n_cands, wall_s=t_end - t_round,
+        job.stage = StageStats(
+            rows_in=len(rows), result_rows=n_cands, wall_s=t_end - t_round,
             dispatch_s=t_decode - t_dispatch, decode_s=t_end - t_decode,
             part_rows=[st["rows"] for st in part_stats],
             part_pulls=[st["pulls"] for st in part_stats],
@@ -385,8 +363,7 @@ def _task_loop(gg: GlobalGraph, gamma, tau_size: int, run_stage, *, strategy: st
             part_filter_s=[st["filter"] for st in part_stats],
             part_wall_s=[st["wall"] for st in part_stats],
         )
-        job.rounds.append(rec)
-        _log.info("%s", rec)
+        _log.info("%s", job.stage)
     job.maximal, job.postprocess_time = timed_maximal_only(job.results)
     job.job_time = time.perf_counter() - t_start
     if collect_task_features:
@@ -413,9 +390,8 @@ def run_serial(
 
     def in_process(graph, mine, rows):
         t0 = time.perf_counter()
-        cands, stat, feat_rows = mine(*graph, _Stack(rows))
-        stat.update(filter=0.0, wall=time.perf_counter() - t0)
-        return [(cands, stat, feat_rows)]
+        out = mine(*graph, _Stack(rows))
+        return [(out, time.perf_counter() - t0)]
 
     return _task_loop(gg, gamma, tau_size, in_process, strategy=strategy,
                       tau_split=tau_split, tau_time=tau_time, cfg=cfg,
@@ -437,50 +413,13 @@ def run_spark(
 ) -> JobResult:
     """Distributed engine (see module docstring for the mapping): one
     stage of n partitions that pull from a Q_global served on
-    ``spark.driver.host``. Raises ``RuntimeError`` if a partition lost
-    its connection while it held rows, and refuses ``spark.speculation``,
-    whose killed attempts would do that. Each partition body ends by
-    dropping its worker's zip importers, so the next task's
-    ``importlib.invalidate_caches()`` re-reads no archive."""
+    ``spark.driver.host`` (:func:`repro.gthinker.qglobal.run_stage`, which
+    raises ``RuntimeError`` if a partition lost its connection while it
+    held rows, and refuses ``spark.speculation``)."""
     sc = spark.sparkContext
-    conf = sc.getConf()
-    if conf.get("spark.speculation", "false").lower() == "true":
-        raise ValueError("run_spark cannot run with spark.speculation on: a killed "
-                         "speculative attempt would take the task rows it holds with it")
-    n_part = parallelism or sc.defaultParallelism
-    host = conf.get("spark.driver.host")
 
     def on_spark(graph, mine, rows):
-        n = min(n_part, len(rows))
-        bc = sc.broadcast(graph)
-        server = Server(QGlobal(_deal(rows, n)), host)
-        address, token = server.address, server.token
-
-        def mine_partition(part):
-            """Partition ``part``'s one element is its index."""
-            t_entry = time.perf_counter()
-            with Client(address, token, part) as queue:
-                cands, stat, feat_rows = mine(*bc.value, queue)
-            # A candidate strictly inside another candidate is not
-            # maximal, so dropping it here never loses a global maximal
-            # set; the driver's final pass removes what other partitions
-            # dominate. (maximal_only, not timed_maximal_only: tracers
-            # patch the latter on the driver.)
-            t0 = time.perf_counter()
-            kept = maximal_only(cands)
-            stat["filter"] = time.perf_counter() - t0
-            _drop_zip_finders()
-            stat["wall"] = time.perf_counter() - t_entry
-            return kept, stat, feat_rows
-
-        try:
-            parts = sc.parallelize(range(n), n).map(mine_partition).collect()
-        finally:
-            server.close()
-            bc.unpersist()
-        if server.queue.failed:
-            raise RuntimeError("a partition lost its Q_global connection while it held task rows")
-        return parts
+        return run_stage(sc, parallelism, graph, rows, partial(_mine_and_filter, mine))
 
     return _task_loop(gg, gamma, tau_size, on_spark, strategy=strategy,
                       tau_split=tau_split, tau_time=tau_time, cfg=cfg,

@@ -2,11 +2,12 @@
 
 In G-thinker every worker keeps a global task queue beside its threads'
 local ones, serves big tasks first, and lets an idle thread take work
-from it (§5). Here one job is one RDD stage, and the driver holds the
-stage's Q_global (:class:`QGlobal`):
+from it (§5). Here one job is one RDD stage (:func:`run_stage`, the
+only Spark stage executor), and the driver holds its Q_global
+(:class:`QGlobal`):
 
-* the driver deals the cost-sorted root rows into n lists
-  (``engine._deal``); a partition's first pull returns its own list;
+* the driver deals the rows, sorted as the caller wants them, into n
+  lists (:func:`_deal`); a partition's first pull returns its own list;
 * a partition pushes every subtask as soon as a τ_time timeout or a
   τ_split split creates it. A pull returns one subtask: the last one
   the partition itself pushed (its Q_local, LIFO, so it goes on deep
@@ -38,10 +39,14 @@ import json
 import secrets
 import socket
 import struct
+import sys
 import threading
+import time
+import zipimport
 from collections import deque
+from contextlib import closing
 
-__all__ = ["ROOT", "SUB", "Client", "QGlobal", "Server"]
+__all__ = ["ROOT", "SUB", "Client", "QGlobal", "Server", "run_stage"]
 
 ROOT, SUB = 0, 1  # a task row is [kind, S ids, ext ids]; a root row is [ROOT, [v], []]
 _PULL, _PUSH = 0, 1  # client messages: [_PULL] and [_PUSH, [S, ext], ...]
@@ -262,3 +267,58 @@ class Client:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _deal(rows: list, n: int) -> list[list]:
+    """Deal ``rows`` round-robin into ``n`` slots: row i goes to slot
+    i mod n, at position i // n. On cost-sorted rows every slot gets
+    one of the n biggest tasks, then one of the next n, and so on."""
+    return [rows[j::n] for j in range(n)]
+
+
+def _drop_zip_finders() -> None:
+    """Forget every zip importer in ``sys.path_importer_cache``. Call it
+    only at the end of a Spark partition body: PySpark runs
+    ``importlib.invalidate_caches()`` before each task, and a cached
+    ``zipimporter`` then re-reads its archive's whole directory. The
+    entries are deleted, not set to None (None means "no finder here");
+    an import that needs one again rebuilds it from
+    ``zipimport._zip_directory_cache`` without reading the archive."""
+    for path, finder in list(sys.path_importer_cache.items()):
+        if isinstance(finder, zipimport.zipimporter):
+            del sys.path_importer_cache[path]
+
+
+def run_stage(sc, parallelism: int | None, payload, rows: list, body) -> list[tuple]:
+    """One RDD stage of n = min(``parallelism`` or the default, len(``rows``))
+    partitions over a Q_global of ``rows`` dealt in the order given.
+    Partition j runs ``body(payload, its Client)``, ``payload`` being
+    broadcast, then :func:`_drop_zip_finders`. Returns ``(body's value,
+    wall seconds)`` per partition, in partition order. Refuses
+    ``spark.speculation`` before broadcasting; raises ``RuntimeError``
+    if a partition lost its connection while it held rows. The broadcast
+    is unpersisted and the server closed however the stage ends."""
+    conf = sc.getConf()
+    if conf.get("spark.speculation", "false").lower() == "true":
+        raise ValueError("a Q_global stage cannot run with spark.speculation on: a killed "
+                         "speculative attempt would take the task rows it holds with it")
+    n = min(parallelism or sc.defaultParallelism, len(rows))
+    bc = sc.broadcast(payload)
+    try:
+        with closing(Server(QGlobal(_deal(rows, n)), conf.get("spark.driver.host"))) as server:
+            address, token = server.address, server.token
+
+            def partition(part):
+                """Partition ``part``'s one element is its index."""
+                t_entry = time.perf_counter()
+                with Client(address, token, part) as queue:
+                    out = body(bc.value, queue)
+                _drop_zip_finders()
+                return out, time.perf_counter() - t_entry
+
+            parts = sc.parallelize(range(n), n).map(partition).collect()
+    finally:
+        bc.unpersist()
+    if server.queue.failed:
+        raise RuntimeError("a partition lost its Q_global connection while it held task rows")
+    return parts

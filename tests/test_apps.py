@@ -1,10 +1,21 @@
-"""Table 4 workloads: task-engine vs Catalyst-join vs DuckDB agreement."""
+"""Table 4 workloads: task-engine vs Catalyst-join vs DuckDB agreement.
+
+The Spark runs use one partition, and twice as many partitions as cores:
+then some start after others have taken their vertex lists, and must
+return nothing."""
 import pytest
 
 from repro.graphs.generators import edges_pdf, er_graph, planted_community_graph
 from repro.graphs.global_graph import GlobalGraph
 from repro.graphs.spark_ops import to_spark_edges
 from repro.gthinker import apps, baselines
+
+
+PARTITIONS = pytest.mark.parametrize("partitions", ["one", "twice the cores"])
+
+
+def parallelism(spark, partitions):
+    return 1 if partitions == "one" else 2 * spark.sparkContext.defaultParallelism
 
 
 @pytest.fixture(scope="module")
@@ -27,10 +38,11 @@ class TestTriangleCounting:
             == baselines.triangle_count_duckdb(pdf).value
         )
 
-    def test_spark_engine_matches(self, spark, graph_case):
+    @PARTITIONS
+    def test_spark_engine_matches(self, spark, graph_case, partitions):
         pdf, gg = graph_case
         expect = baselines.triangle_count_duckdb(pdf).value
-        got = apps.run_app_spark(spark, gg, "tc", parallelism=4)
+        got = apps.run_app_spark(spark, gg, "tc", parallelism=parallelism(spark, partitions))
         assert got.value == expect
 
     def test_sql_baseline_matches(self, spark, er_case):
@@ -59,10 +71,11 @@ class TestMaxCliqueFinding:
         expect = max_clique(g).bit_count()
         assert apps.run_app_serial(gg, "mcf").value == expect
 
-    def test_spark_matches_serial(self, spark, graph_case):
+    @PARTITIONS
+    def test_spark_matches_serial(self, spark, graph_case, partitions):
         pdf, gg = graph_case
         assert (
-            apps.run_app_spark(spark, gg, "mcf", parallelism=4).value
+            apps.run_app_spark(spark, gg, "mcf", parallelism=parallelism(spark, partitions)).value
             == apps.run_app_serial(gg, "mcf").value
         )
 
@@ -91,10 +104,11 @@ class TestSubgraphMatching:
             == apps.run_app_serial(gg, "gm").value
         )
 
-    def test_spark_matches_serial(self, spark, er_case):
+    @PARTITIONS
+    def test_spark_matches_serial(self, spark, er_case, partitions):
         pdf, gg = er_case
         assert (
-            apps.run_app_spark(spark, gg, "gm", parallelism=4).value
+            apps.run_app_spark(spark, gg, "gm", parallelism=parallelism(spark, partitions)).value
             == apps.run_app_serial(gg, "gm").value
         )
 

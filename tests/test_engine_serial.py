@@ -10,7 +10,8 @@ from repro.core.quickplus import MineConfig
 from repro.graphs.datasets import load_dataset
 from repro.graphs.generators import edges_pdf, planted_community_graph
 from repro.graphs.global_graph import GlobalGraph
-from repro.gthinker.engine import _deal, run_serial, spawn_all
+from repro.gthinker.engine import run_serial, spawn_all
+from repro.gthinker.qglobal import _deal
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +80,8 @@ class TestTaskLoop:
         ("base", {}), ("split", dict(tau_split=1)), ("time", dict(tau_time=0.0)),
     ])
     def test_one_round_logged_like_spark(self, comm_gg, caplog, strategy, kw):
-        """The in-process round drains every subtask, so a serial job is
-        one round of the shared loop and logs one round line."""
+        """The in-process stage runs every subtask, so a serial job is
+        the one stage of the shared loop and logs one stage line."""
         caplog.set_level(logging.INFO, logger="repro.gthinker.engine")
         job = run_serial(comm_gg, 0.85, 8, strategy=strategy, **kw)
         lines = [r.getMessage() for r in caplog.records
@@ -88,14 +89,14 @@ class TestTaskLoop:
         assert job.n_rounds == 1
         assert len(lines) == 1
         m = re.fullmatch(
-            r"round 1: (\d+) task rows in, (\d+) subtasks drained, 0 shipped, "
+            r"stage: (\d+) task rows in, (\d+) subtasks run, "
             r"(\d+) result rows, [\d.]+ s wall, "
             r"partition mining max ([\d.]+) / min ([\d.]+) s, "
             r"(\d+) pulls, wait max ([\d.]+) / min ([\d.]+) s, "
             r"driver dispatch\+collect [\d.]+ / decode [\d.]+ s, "
             r"launch [\d.]+ s", lines[0])
         assert m is not None, lines[0]
-        assert lines[0] == str(job.rounds[0])
+        assert lines[0] == str(job.stage)
         assert int(m[1]) == len(spawn_all(comm_gg, 0.85, 8)[1]) >= job.n_root_tasks
         assert int(m[2]) == job.n_subtasks
         assert int(m[3]) == job.n_results
@@ -103,7 +104,7 @@ class TestTaskLoop:
         # one pull for the root rows, one per subtask, one answered "stop"
         assert int(m[6]) == job.n_subtasks + 2
         assert m[7] == m[8]
-        rec = job.rounds[0]
+        rec = job.stage
         assert len(rec.part_wall_s) == 1
         assert rec.part_rows == [rec.rows_in + job.n_subtasks]
         assert rec.part_mine_s[0] <= rec.part_wall_s[0] <= rec.dispatch_s

@@ -85,7 +85,7 @@ class TestSparkEngine:
                         tau_time=0.0, parallelism=parallelism)
         assert job.maximal == serial.maximal
         assert job.n_results <= serial.n_results
-        if parallelism == 1:  # one partition sees every candidate of a round
+        if parallelism == 1:  # one partition sees every candidate of the job
             assert job.n_results < serial.n_results
         assert job.results <= serial.results
         for dropped in serial.results - job.results:
@@ -113,39 +113,26 @@ class TestSparkEngine:
     def test_n_subtasks_counts_every_subtask_created(
         self, spark, comm_gg, strategy, kw
     ):
-        """Drained subtasks count as well as shipped ones."""
+        """Every subtask counts, whichever partition ran it."""
         for job in (run_serial(comm_gg, 0.85, 9, strategy=strategy, **kw),
                     run_spark(spark, comm_gg, 0.85, 9, strategy=strategy, **kw)):
             assert job.n_subtasks == job.stats.n_subtasks
-
-    def test_rounds_and_stats_populated(self, spark, comm_gg, caplog):
-        caplog.set_level(logging.INFO, logger="repro.gthinker.engine")
-        job = run_spark(spark, comm_gg, 0.85, 9, strategy="split", tau_split=3)
-        assert job.n_rounds >= 1
-        lines = [r.getMessage() for r in caplog.records
-                 if r.name == "repro.gthinker.engine"]
-        assert len(lines) == job.n_rounds  # one line per round
-        assert lines[0].startswith("round 1: ")
-        assert job.mine_time > 0
-        assert job.n_root_tasks > 0
 
     @pytest.mark.parametrize("parallelism", [1, 2, 4])
     def test_one_stage_record(self, spark, comm_gg, caplog, parallelism):
         """A job is one stage that runs every row: each spawn row once and
         each subtask once, wherever it was pulled. The record adds up to
-        the job and is what the log line shows."""
+        the job and is what the job's one log line shows."""
         caplog.set_level(logging.INFO, logger="repro.gthinker.engine")
         job = run_spark(spark, comm_gg, 0.85, 9, strategy="split", tau_split=3,
                         parallelism=parallelism)
         n_spawn = len(spawn_all(comm_gg, 0.85, 9)[1])
-        assert job.n_rounds == len(job.rounds) == 1
-        rec = job.rounds[0]
+        assert job.n_rounds == 1
+        rec = job.stage
         n = min(parallelism, n_spawn)
-        assert rec.round == 1 and rec.rows_in == n_spawn >= job.n_root_tasks > 0
-        assert rec.shipped == 0
-        assert job.n_subtasks > 0
+        assert rec.rows_in == n_spawn >= job.n_root_tasks > 0
+        assert job.n_subtasks > 0 and job.mine_time > 0
         assert sum(rec.part_rows) == n_spawn + job.n_subtasks
-        assert rec.drained == job.n_subtasks
         for per_part in (rec.part_rows, rec.part_pulls, rec.part_wait_s, rec.part_mine_s,
                          rec.part_mat_s, rec.part_filter_s, rec.part_wall_s):
             assert len(per_part) == n
@@ -178,7 +165,7 @@ class TestSparkEngine:
         assert job.n_root_tasks == serial.n_root_tasks
         if strategy != "time":  # timeouts make A_time's subtasks vary
             assert job.n_subtasks == serial.n_subtasks
-        assert len(job.rounds[0].part_rows) == min(parallelism, job.rounds[0].rows_in)
+        assert len(job.stage.part_rows) == min(parallelism, job.stage.rows_in)
 
     def test_speculation_refused(self, comm_gg):
         conf = {"spark.speculation": "true"}
@@ -188,26 +175,25 @@ class TestSparkEngine:
 
     @pytest.mark.parametrize("engine", ["serial", "spark"])
     def test_job_record_as_json(self, spark, comm_gg, engine):
-        """to_json() holds the counters, times and round records, and no
-        result set. The rounds' per-partition mat and filter times add up
-        to the job's; the serial round filters nothing."""
+        """to_json() holds the counters, times and stage record, and no
+        result set. The stage's per-partition mat and filter times add up
+        to the job's; the serial stage filters nothing."""
         kw = dict(strategy="split", tau_split=3)
         job = (run_serial(comm_gg, 0.85, 9, **kw) if engine == "serial"
                else run_spark(spark, comm_gg, 0.85, 9, **kw))
         rec = json.loads(job.to_json())
-        assert rec["rounds"] == [asdict(r) for r in job.rounds]
+        assert rec["stage"] == asdict(job.stage)
         assert rec["stats"] == asdict(job.stats)
         assert rec["job_time"] == job.job_time
         assert 0 < rec["spawn_time"] == job.spawn_time < job.job_time
         for name in ("n_root_tasks", "n_subtasks", "n_rounds", "n_results", "n_maximal"):
             assert rec[name] == getattr(job, name)
         assert not {"results", "maximal", "task_features"} & rec.keys()
-        for r in rec["rounds"]:
-            assert len(r["part_mat_s"]) == len(r["part_filter_s"]) == len(r["part_rows"])
-            assert all(m <= w for m, w in zip(r["part_mat_s"], r["part_wall_s"]))
-        assert math.isclose(sum(sum(r.part_mat_s) for r in job.rounds), job.materialize_time)
-        assert math.isclose(sum(sum(r.part_filter_s) for r in job.rounds),
-                            job.worker_filter_time)
+        r = rec["stage"]
+        assert len(r["part_mat_s"]) == len(r["part_filter_s"]) == len(r["part_rows"])
+        assert all(m <= w for m, w in zip(r["part_mat_s"], r["part_wall_s"]))
+        assert math.isclose(sum(job.stage.part_mat_s), job.materialize_time)
+        assert math.isclose(sum(job.stage.part_filter_s), job.worker_filter_time)
         if engine == "serial":
             assert job.worker_filter_time == 0.0
         else:

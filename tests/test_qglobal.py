@@ -1,15 +1,19 @@
 """Q_global (repro/gthinker/qglobal.py) without Spark: the queue's order
-and termination, and its TCP transport. Every thread is joined with a
-timeout, so a hang fails the test instead of stalling the suite."""
+and termination, its TCP transport, and the stage executor's cleanup on
+a stub SparkContext. Every thread is joined with a timeout, so a hang
+fails the test instead of stalling the suite."""
 import socket
 import struct
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
-from repro.gthinker.engine import _deal
-from repro.gthinker.qglobal import ROOT, SUB, Client, QGlobal, Server
+from repro.graphs.global_graph import GlobalGraph
+from repro.gthinker.apps import run_app_spark
+from repro.gthinker.engine import run_spark
+from repro.gthinker.qglobal import ROOT, SUB, Client, QGlobal, Server, _deal
 
 JOIN_S = 10.0
 
@@ -228,3 +232,59 @@ def test_cut_short_messages_end_the_connection(bad):
         server.close()
     assert not server.queue.failed
     assert no_server_threads()
+
+
+class ExecutorLost(Exception):
+    pass
+
+
+class StubContext:
+    """A SparkContext stand-in for :func:`run_stage`: its stage runs
+    partition 0 in-process, then fails as if another partition's
+    executor were lost."""
+
+    defaultParallelism = 2
+
+    def __init__(self, **conf):
+        self._conf = {"spark.driver.host": "127.0.0.1", **conf}
+        self.broadcasts = []
+
+    def getConf(self):
+        return SimpleNamespace(get=lambda k, d=None: self._conf.get(k, d))
+
+    def broadcast(self, value):
+        bc = SimpleNamespace(value=value, unpersisted=False)
+        bc.unpersist = lambda: setattr(bc, "unpersisted", True)
+        self.broadcasts.append(bc)
+        return bc
+
+    def parallelize(self, parts, n):
+        return SimpleNamespace(map=lambda f: SimpleNamespace(collect=lambda: self._fail(f)))
+
+    def _fail(self, partition):
+        partition(0)
+        raise ExecutorLost
+
+
+K5 = GlobalGraph.from_edges([(u, v) for u in range(5) for v in range(u + 1, 5)])
+STAGES = {  # every caller of run_stage, on a graph with rows to run
+    "run_spark": lambda spark: run_spark(spark, K5, 0.9, 3, strategy="base", parallelism=2),
+    "run_app_spark": lambda spark: run_app_spark(spark, K5, "tc", parallelism=2),
+}
+
+
+@pytest.mark.parametrize("caller", STAGES)
+def test_failed_stage_unpersists_and_joins(caller):
+    sc = StubContext()
+    with pytest.raises(ExecutorLost):
+        STAGES[caller](SimpleNamespace(sparkContext=sc))
+    assert [bc.unpersisted for bc in sc.broadcasts] == [True]
+    assert no_server_threads()
+
+
+@pytest.mark.parametrize("caller", STAGES)
+def test_speculation_refused_before_broadcast(caller):
+    sc = StubContext(**{"spark.speculation": "true"})
+    with pytest.raises(ValueError, match="spark.speculation"):
+        STAGES[caller](SimpleNamespace(sparkContext=sc))
+    assert sc.broadcasts == []

@@ -16,7 +16,7 @@ import pandas as pd
 
 import repro
 from repro.graphs.global_graph import GlobalGraph
-from repro.gthinker.engine import _drop_zip_finders
+from repro.gthinker.qglobal import _drop_zip_finders
 
 
 def test_dropping_zip_finders_stops_rereads(tmp_path, monkeypatch):
