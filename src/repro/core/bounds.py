@@ -14,8 +14,12 @@ Naming follows the paper:
 
 One bounding round counts the SS-, ES- and SE-degrees once, into a
 :class:`DegreeSnapshot`; ``U_S``, ``L_S`` and the critical vertices
-read them from there. EE-degrees are only needed by the Type I rules,
-so the iterative driver counts them itself.
+read them from there, and read ceil(γ·x) from the ceiling table the
+caller passes (the miner builds one per task graph). EE-degrees are
+only needed by the Type I rules, so the iterative driver counts them
+itself. :func:`cover_set` takes its threshold ceil(γ|S|) the same way.
+The functions serve the miner's regime γ ≥ 0.5, which
+:func:`repro.core.gamma.make_mining_gamma` enforces.
 """
 from __future__ import annotations
 
@@ -60,22 +64,13 @@ class DegreeSnapshot:
         self.se_prefix = list(accumulate(sorted(d_se, reverse=True), initial=0))
 
 
-def _table(snap: DegreeSnapshot, gam: Gamma) -> list[int]:
-    """A ceiling table for one snapshot's bounds. They read ceil(γ·x)
-    at x = |S| + t − 1 with t ≤ |ext|, so x < |S| + |ext|."""
-    return gam.ceil_table(len(snap.s_list) + len(snap.ext_list))
-
-
-def upper_bound(snap: DegreeSnapshot, gam: Gamma, ceil: list[int] | None = None) -> int | None:
+def upper_bound(snap: DegreeSnapshot, gam: Gamma, ceil: list[int]) -> int | None:
     """U_S of Eq (4), or ``None`` when no valid t exists (a Type II
     pruning of S's *extensions*; G(S) itself stays a candidate).
 
     ``ceil[x]`` is ``gam.ceil_mul(x)`` for x < |S| + |ext| (the miner's
-    table; built here when not given). Requires S non-empty and γ > 0
-    (the paper's regime is γ ≥ 0.5).
+    table). Requires S non-empty and γ > 0.
     """
-    if ceil is None:
-        ceil = _table(snap, gam)
     s = len(snap.s_list)
     u_min = gam.floor_div(min(snap.d_all)) + 1 - s  # Eq (3)
     u_cap = min(u_min, len(snap.ext_list))
@@ -88,11 +83,9 @@ def upper_bound(snap: DegreeSnapshot, gam: Gamma, ceil: list[int] | None = None)
     return None
 
 
-def lower_bound(snap: DegreeSnapshot, gam: Gamma, ceil: list[int] | None = None) -> int | None:
+def lower_bound(snap: DegreeSnapshot, ceil: list[int]) -> int | None:
     """L_S of Eq (8), or ``None`` when no valid t exists (a Type II
     pruning of S *and* its extensions). ``ceil`` as in :func:`upper_bound`."""
-    if ceil is None:
-        ceil = _table(snap, gam)
     s = len(snap.s_list)
     n_ext = len(snap.ext_list)
     d_s_min = min(snap.d_ss)
@@ -110,28 +103,19 @@ def lower_bound(snap: DegreeSnapshot, gam: Gamma, ceil: list[int] | None = None)
     return None
 
 
-def critical_vertices(
-    snap: DegreeSnapshot, gam: Gamma, l_s: int, ceil: list[int] | None = None
-) -> list[int]:
+def critical_vertices(snap: DegreeSnapshot, l_s: int, ceil: list[int]) -> list[int]:
     """Definition 4: v ∈ S with d_S(v) + d_ext(v) == ceil(γ(|S|+L_S-1)).
     Any valid extension must then absorb all of N_ext(v) (Theorem 9).
     ``ceil`` as in :func:`upper_bound`."""
-    if ceil is None:
-        ceil = _table(snap, gam)
     need = ceil[len(snap.s_list) + l_s - 1]
     return [v for v, d in zip(snap.s_list, snap.d_all) if d == need]
 
 
-def cover_set(g: LocalGraph, S: int, ext: int, gam: Gamma, u: int) -> int | None:
+def cover_set(adj: list[int], S: int, ext: int, thr: int, u: int) -> int | None:
     """C_S(u) of Eq (9) for a candidate cover vertex u ∈ ext, or ``None``
-    when (P7)'s applicability conditions fail:
-    d_S(u) ≥ ceil(γ|S|) and every non-neighbor v ∈ S of u has
-    d_S(v) ≥ ceil(γ|S|)."""
-    return _cover(g.adj, S, ext, gam.ceil_mul(S.bit_count()), u)
-
-
-def _cover(adj: list[int], S: int, ext: int, thr: int, u: int) -> int | None:
-    """:func:`cover_set` with its threshold ceil(γ|S|) given."""
+    when (P7)'s applicability conditions fail: d_S(u) ≥ ``thr`` and every
+    non-neighbor v ∈ S of u has d_S(v) ≥ ``thr``, where ``thr`` is
+    ceil(γ|S|)."""
     if (adj[u] & S).bit_count() < thr:
         return None
     c = adj[u] & ext
@@ -159,7 +143,7 @@ def best_cover_vertex(
     for u in bits(ext):
         if (adj[u] & ext).bit_count() <= best_sz:
             continue
-        c = _cover(adj, S, ext, thr, u) if S else (adj[u] & ext)
+        c = cover_set(adj, S, ext, thr, u) if S else (adj[u] & ext)
         if c is not None and c.bit_count() > best_sz:
             best_u, best_c, best_sz = u, c, c.bit_count()
     return best_u, best_c

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Gamma", "make_gamma"]
+__all__ = ["Gamma", "make_gamma", "make_mining_gamma"]
 
 
 class Gamma:
@@ -70,3 +70,13 @@ def make_gamma(gamma: float | str | Fraction | Gamma) -> Gamma:
     if isinstance(gamma, str):
         return Gamma(Fraction(gamma))
     return Gamma(Fraction(gamma).limit_denominator(10000))
+
+
+def make_mining_gamma(gamma: float | str | Fraction | Gamma) -> Gamma:
+    """:func:`make_gamma`, refusing γ < 0.5 with ``ValueError``: the miner's
+    (P1) two-hop shrink and the 2-hop candidate scopes assume that a
+    quasi-clique has diameter ≤ 2, which only γ ≥ 0.5 guarantees."""
+    gam = make_gamma(gamma)
+    if 2 * gam.num < gam.den:
+        raise ValueError(f"gamma must be >= 0.5, got {gam.value}")
+    return gam

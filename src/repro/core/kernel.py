@@ -15,6 +15,9 @@ Two phases, as the paper describes in Section 2 / Section 8:
 The method is *incomplete by construction*: results not containing any
 kernel are never found — the incompleteness the paper demonstrates on
 GSE10158/Amazon. Tests assert exactly that failure mode.
+
+Like the miner, it refuses γ < 0.5: the 2-hop candidate scope of phase 2
+assumes a quasi-clique has diameter ≤ 2.
 """
 from __future__ import annotations
 
@@ -22,9 +25,9 @@ import time
 from dataclasses import dataclass, field
 
 from .bitset import mask_of
-from .gamma import make_gamma
+from .gamma import make_mining_gamma
 from .postprocess import maximal_only
-from .quickplus import QUICK_PLUS, Miner
+from .quickplus import Miner
 from ..graphs.global_graph import GlobalGraph
 
 __all__ = ["KernelResult", "kernel_expansion"]
@@ -40,10 +43,9 @@ class KernelResult:
     job_time: float = 0.0
 
 
-def _expand_kernel(gg: GlobalGraph, kernel: frozenset[int], gamma, tau_size):
+def _expand_kernel(gg: GlobalGraph, kernel: frozenset[int], gam, tau_size):
     """Phase 2 for one kernel: candidates = 2-hop neighbourhood of the
     kernel (k-core-pruned), then exact mining of ⟨S, ext(S)⟩."""
-    gam = make_gamma(gamma)
     k = gam.ceil_mul(tau_size - 1)
     scope: set[int] = set(kernel)
     for v in kernel:
@@ -54,16 +56,16 @@ def _expand_kernel(gg: GlobalGraph, kernel: frozenset[int], gamma, tau_size):
     pos = {u: i for i, u in enumerate(ids)}
     s_mask = mask_of(pos[v] for v in kernel)
     ext_mask = mask_of(pos[v] for v in scope - set(kernel))
-    miner = Miner(g=g, gamma=gam, tau_size=tau_size, cfg=QUICK_PLUS)
+    miner = Miner(g=g, gamma=gam, tau_size=tau_size)
     pruned = False
     if ext_mask:
         pruned, s_mask, ext_mask = miner.iterative_bounding(s_mask, ext_mask)
     if not pruned and ext_mask:
         found = miner.recursive_mine(s_mask, ext_mask)
         if not found:
-            miner._emit_if_valid(s_mask)
+            miner.emit_if_valid(s_mask)
     else:
-        miner._emit_if_valid(s_mask)
+        miner.emit_if_valid(s_mask)
     return {frozenset(ids[i] for i in s) for s in miner.results}
 
 
@@ -76,9 +78,11 @@ def kernel_expansion(
     k: int,
     tau_size: int,
 ) -> KernelResult:
-    """Full [31] pipeline with parameter quadruple (γ', k', γ, k)."""
+    """Full [31] pipeline with parameter quadruple (γ', k', γ, k).
+    Raises ``ValueError`` for γ < 0.5 before mining anything."""
     from ..gthinker.engine import run_serial  # local import: avoid cycle
 
+    gam = make_mining_gamma(gamma)
     out = KernelResult()
     t0 = time.perf_counter()
     phase1 = run_serial(gg, gamma_prime, tau_size, strategy="base")
@@ -89,7 +93,7 @@ def kernel_expansion(
     t1 = time.perf_counter()
     found: set[frozenset[int]] = set()
     for kern in kernels:
-        found |= _expand_kernel(gg, kern, gamma, tau_size)
+        found |= _expand_kernel(gg, kern, gam, tau_size)
     out.all_found = maximal_only(found)
     out.results = set(
         sorted(out.all_found, key=lambda s: (-len(s), sorted(s)))[:k]

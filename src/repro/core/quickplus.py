@@ -14,10 +14,14 @@ One :class:`Miner` instance mines one *task subgraph* (a compact-id
 * ``split_level`` — Algorithm 8 lines 3–23: one level of eager
   decomposition when ``|ext(S)| > tau_split``.
 
-The original Quick algorithm (for Table 15) is emulated with
-:class:`MineConfig` flags that disable exactly the Quick+ additions the
+One switch, ``quick_plus``, selects the kernel: ``False`` runs the
+original Quick algorithm (Table 15), without the Quick+ additions the
 paper lists: multi-critical-vertex batching, the G(S) checks on the
-boundary/empty-ext paths, and the boundary handling in U_S/L_S.
+boundary/empty-ext paths and before a critical move, the ascending-d_S
+lookahead order, and (in :func:`repro.gthinker.engine.spawn_all`) the
+degenerate (P7) spawn rule. The miner refuses γ < 0.5
+(:func:`repro.core.gamma.make_mining_gamma`), since the (P1) shrink
+assumes diameter ≤ 2.
 """
 from __future__ import annotations
 
@@ -32,35 +36,10 @@ from .bounds import (
     lower_bound,
     upper_bound,
 )
-from .gamma import Gamma, make_gamma
+from .gamma import Gamma, make_mining_gamma
 from .graph import LocalGraph
 
-__all__ = ["MineConfig", "MineStats", "Miner", "QUICK_PLUS", "QUICK_ORIGINAL"]
-
-
-@dataclass(frozen=True)
-class MineConfig:
-    """Algorithm switches. Defaults = Quick+; ``QUICK_ORIGINAL`` turns
-    off each improvement the paper credits to Quick+ (Section 6.2
-    summary and Table 15 discussion)."""
-
-    multi_critical: bool = True  # move all critical vertices per round
-    check_s_on_empty_ext: bool = True  # Alg 3 lines 13–16 (Quick misses)
-    check_s_before_critical: bool = True  # emit G(S) before critical move
-    bound_boundary_emit: bool = True  # emit G(S) when U_S has no valid t
-    degenerate_cover: bool = True  # top-level v_max rule of (P7)
-    sort_ext: bool = True  # ascending d_S order for lookahead success
-
-
-QUICK_PLUS = MineConfig()
-QUICK_ORIGINAL = MineConfig(
-    multi_critical=False,
-    check_s_on_empty_ext=False,
-    check_s_before_critical=False,
-    bound_boundary_emit=False,
-    degenerate_cover=False,
-    sort_ext=False,  # the ascending-d_S lookahead ordering is a Quick+ addition
-)
+__all__ = ["MineStats", "Miner"]
 
 
 @dataclass
@@ -90,19 +69,20 @@ class Miner:
     """Mines one task subgraph. ``results`` collects vertex-index
     frozensets (compact ids — callers map back to global ids);
     ``subtasks`` collects (S_mask, ext_mask) pairs produced by the
-    split/timeout decompositions."""
+    split/timeout decompositions. ``quick_plus=False`` mines as Quick.
+    Raises ``ValueError`` for γ < 0.5."""
 
     g: LocalGraph
     gamma: Gamma
     tau_size: int
-    cfg: MineConfig = QUICK_PLUS
+    quick_plus: bool = True
     clock: object = time.perf_counter
     results: set = field(default_factory=set)
     subtasks: list = field(default_factory=list)
     stats: MineStats = field(default_factory=MineStats)
 
     def __post_init__(self):
-        self.gamma = make_gamma(self.gamma)
+        self.gamma = make_mining_gamma(self.gamma)
         self._two_hop_cache: dict[int, int] = {}
         # ceil(γ·x) by index for every x the kernel reads, which is at
         # most 2n (n = g.n). Each term below is a count of vertices of g:
@@ -123,7 +103,7 @@ class Miner:
 
     def _is_qc(self, mask: int) -> bool:
         """Degree test of Definition 1. Connectivity is implied for
-        γ ≥ 0.5 (diameter ≤ 2); for γ < 0.5 we check it explicitly."""
+        γ ≥ 0.5 (diameter ≤ 2), the only γ the miner accepts."""
         s = mask.bit_count()
         if s == 0:
             return False
@@ -135,11 +115,11 @@ class Miner:
             if (adj[low.bit_length() - 1] & mask).bit_count() < need:
                 return False
             rest ^= low
-        if 2 * self.gamma.num < self.gamma.den and not self.g.connected(mask):
-            return False
         return True
 
-    def _emit_if_valid(self, mask: int) -> bool:
+    def emit_if_valid(self, mask: int) -> bool:
+        """Add G(mask) to ``results`` if it is a valid candidate (at
+        least τ_size vertices, a γ-quasi-clique); returns whether it is."""
         if mask.bit_count() >= self.tau_size and self._is_qc(mask):
             key = frozenset(bits(mask))
             if key not in self.results:
@@ -151,9 +131,9 @@ class Miner:
     def _ext_order(self, S: int, ext: int) -> list[int]:
         """Section 6.2 closing remark: ascending d_S, tie-broken by
         d_ext — so high-degree vertices stay in ext longer, maximizing
-        lookahead hits."""
+        lookahead hits. A Quick+ addition: Quick keeps ascending ids."""
         vs = bits(ext)
-        if self.cfg.sort_ext:
+        if self.quick_plus:
             adj = self.g.adj
             vs.sort(key=lambda u: ((adj[u] & S).bit_count(), (adj[u] & ext).bit_count(), u))
         return vs
@@ -172,15 +152,15 @@ class Miner:
             t0 = self.clock()
             snap = DegreeSnapshot(self.g, S, ext)
             u_s = upper_bound(snap, gam, ceil)
-            l_s = lower_bound(snap, gam, ceil)
+            l_s = lower_bound(snap, ceil)
             stats.t_bounds += self.clock() - t0
             if l_s is None:
                 stats.n_type2_pruned += 1
                 return True, S, ext  # S and extensions pruned, no emit
             if u_s is None:
                 stats.n_type2_pruned += 1
-                if self.cfg.bound_boundary_emit:
-                    self._emit_if_valid(S)  # extensions pruned, S examined
+                if self.quick_plus:  # Quick+ boundary fix
+                    self.emit_if_valid(S)  # extensions pruned, S examined
                 return True, S, ext
             if u_s < l_s:
                 stats.n_type2_pruned += 1
@@ -188,19 +168,19 @@ class Miner:
 
             # --- critical vertices (P6), batched in Quick+
             t0 = self.clock()
-            crit = critical_vertices(snap, gam, l_s, ceil)
+            crit = critical_vertices(snap, l_s, ceil)
             moved = 0
             for v in crit:
                 m = adj[v] & ext
                 moved |= m
-                if m and not self.cfg.multi_critical:
+                if m and not self.quick_plus:
                     break  # Quick moves one critical vertex per round
             stats.t_critical += self.clock() - t0
             if moved:
-                if self.cfg.check_s_before_critical:
+                if self.quick_plus:
                     # Quick+ fix: G(S) may be maximal if the forced
                     # expansion leads nowhere — examine it first.
-                    self._emit_if_valid(S)
+                    self.emit_if_valid(S)
                 S |= moved
                 ext &= ~moved
                 stats.n_critical_moves += 1
@@ -229,7 +209,7 @@ class Miner:
                 if d_all == d_ss and d_ss < need_s:  # Thm 4(i): d_ext(v) = 0
                     ext_only_pruned = True
             if ext_only_pruned:
-                self._emit_if_valid(S)  # Alg 2 lines 13–16
+                self.emit_if_valid(S)  # Alg 2 lines 13–16
                 return True, S, ext
 
             # --- Type I rules (Theorems 3, 5, 7); EE-degrees only here
@@ -253,7 +233,7 @@ class Miner:
                 return False, S, ext  # case C2: stable, extendable
 
         # case C1: ext exhausted — examine G(S) itself (Alg 2 lines 22–25)
-        self._emit_if_valid(S)
+        self.emit_if_valid(S)
         return True, S, ext
 
     # ------------------------------------------------- Algorithm 3
@@ -298,7 +278,7 @@ class Miner:
             stats.t_lookahead += self.clock() - t0
             if whole:  # lookahead, Alg 3 lines 8–10
                 stats.n_lookahead_hits += 1
-                self._emit_if_valid(S | ext)
+                self.emit_if_valid(S | ext)
                 return True
 
             s_new = S | (1 << v)
@@ -306,8 +286,8 @@ class Miner:
             ext_new = ext & self._two_hop(v)  # (P1) diameter shrink
 
             if ext_new == 0:
-                if self.cfg.check_s_on_empty_ext:  # Quick+ fix (missed by Quick)
-                    if self._emit_if_valid(s_new):
+                if self.quick_plus:  # Quick+ fix (missed by Quick)
+                    if self.emit_if_valid(s_new):
                         found = True
                 continue
 
@@ -323,12 +303,12 @@ class Miner:
                 # G(S') now (postprocessing removes it if non-maximal).
                 self.subtasks.append((s2, ext2))
                 stats.n_subtasks += 1
-                self._emit_if_valid(s2)
+                self.emit_if_valid(s2)
                 continue
 
             sub_found = self._mine_loop(s2, ext2, deadline, split=None)
             found = found or sub_found
             if not sub_found:  # Alg 3 lines 23–25
-                if self._emit_if_valid(s2):
+                if self.emit_if_valid(s2):
                     found = True
         return found

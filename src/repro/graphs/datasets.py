@@ -27,7 +27,7 @@ from ..graphs.generators import (
 )
 from .global_graph import GlobalGraph
 
-__all__ = ["DatasetSpec", "DATASETS", "load_dataset", "dataset_names"]
+__all__ = ["DatasetSpec", "DATASETS", "load_dataset"]
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,6 @@ DATASETS: dict[str, DatasetSpec] = {
     "USA Road": DatasetSpec("USA Road", _usa_road, 0.5, 4, 5, 0.1,
                             23947347, 28854312),
 }
-
-
-def dataset_names() -> list[str]:
-    return list(DATASETS)
 
 
 def load_dataset(name: str) -> tuple[GlobalGraph, DatasetSpec]:

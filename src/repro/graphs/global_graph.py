@@ -85,9 +85,6 @@ class GlobalGraph:
     def num_edges(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def degrees(self) -> list[int]:
-        return [len(a) for a in self.adj]
-
     # ------------------------------------------------- preprocessing
     def kcore_vertices(self, k: int) -> set[int]:
         """Peeling k-core over the whole graph (P2 preprocessing)."""
@@ -135,10 +132,11 @@ class GlobalGraph:
         return GlobalGraph(self.n, adj)
 
     # ----------------------------------------------- vertex ordering
-    def mining_order(self, alive: set[int], degenerate_cover: bool) -> tuple[dict[int, int], set[int]]:
+    def mining_order(self, alive: set[int], quick_plus: bool) -> tuple[dict[int, int], set[int]]:
         """Rank for the set-enumeration order (Section 7's ID recoding).
 
-        With the degenerate (P7) rule: v_max (max degree in the pruned
+        Quick orders every vertex by ascending degree. Quick+ adds the
+        degenerate (P7) rule: v_max (max degree in the pruned
         graph) gets rank 0, N(v_max) get the largest ranks (and are
         *not spawned from* — any quasi-clique inside N(v_max) extends
         with v_max, hence is non-maximal), everything else is ranked by
@@ -146,7 +144,7 @@ class GlobalGraph:
         """
         if not alive:
             return {}, set()
-        if not degenerate_cover:
+        if not quick_plus:
             rank = {v: i for i, v in enumerate(sorted(alive, key=lambda v: (len(self.adj[v] & alive), v)))}
             return rank, set()
         vmax = max(alive, key=lambda v: (len(self.adj[v] & alive), -v))

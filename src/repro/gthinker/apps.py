@@ -108,7 +108,7 @@ def run_app_spark(
             vals += [kernel(g_all, v) for v in vs]
         return [combine(vals)] if vals else []
 
-    parts = run_stage(spark.sparkContext, parallelism, gg, verts, work)
+    parts = run_stage(spark, parallelism, gg, verts, work)
     value = combine([v for vals, _ in parts for v in vals])
     return AppResult(value=int(value), job_time=time.perf_counter() - t0,
                      n_tasks=len(verts))

@@ -41,9 +41,9 @@ from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import TYPE_CHECKING
 
-from ..core.gamma import make_gamma
+from ..core.gamma import make_gamma, make_mining_gamma
 from ..core.postprocess import maximal_only, timed_maximal_only
-from ..core.quickplus import QUICK_PLUS, MineConfig, MineStats
+from ..core.quickplus import MineStats
 from ..graphs.global_graph import GlobalGraph
 from .qglobal import ROOT, SUB, run_stage
 from .tasks import STRATEGIES, run_task
@@ -111,7 +111,6 @@ class JobResult:
     postprocess_time: float = 0.0
     worker_filter_time: float = 0.0  # sum of per-partition filter time
     n_root_tasks: int = 0  # root tasks built (a spawn row's task may prune away)
-    n_subtasks: int = 0  # every subtask created
     stage: StageStats | None = None
     stats: MineStats = field(default_factory=MineStats)
     task_features: pd.DataFrame | None = None  # Tables 1–2 per-task rows
@@ -120,6 +119,11 @@ class JobResult:
     def n_rounds(self) -> int:
         """1 whenever there are spawn rows, on either engine."""
         return int(self.stage is not None)
+
+    @property
+    def n_subtasks(self) -> int:
+        """Every subtask created, on whichever partition."""
+        return self.stats.n_subtasks
 
     @property
     def n_results(self) -> int:
@@ -134,17 +138,16 @@ class JobResult:
         phase counters and the stage record, without the result sets."""
         rec = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name not in ("results", "maximal", "stats", "stage", "task_features")}
-        rec.update(n_rounds=self.n_rounds, n_results=self.n_results,
-                   n_maximal=self.n_maximal, stats=asdict(self.stats),
+        rec.update(n_rounds=self.n_rounds, n_subtasks=self.n_subtasks,
+                   n_results=self.n_results, n_maximal=self.n_maximal,
+                   stats=asdict(self.stats),
                    stage=asdict(self.stage) if self.stage else None)
         return json.dumps(rec)
 
 
-def spawn_all(
-    gg: GlobalGraph, gamma, tau_size: int, cfg: MineConfig = QUICK_PLUS
-):
+def spawn_all(gg: GlobalGraph, gamma, tau_size: int, quick_plus: bool = True):
     """Preprocess ((P2) k-core + two-hop-size prune), compute the
-    mining order (degenerate (P7) recoding when enabled) and list the
+    mining order (degenerate (P7) recoding under Quick+) and list the
     spawn vertices. Returns (pruned GlobalGraph, spawn rows): one
     ``(v, cost)`` per vertex, in mining order, that (P7) does not skip
     and that passes :meth:`GlobalGraph.spawn_task`'s first test, at
@@ -158,13 +161,12 @@ def spawn_all(
     a quasi-clique has diameter ≤ 2, which only holds for γ ≥ 0.5. Also
     for τ_size < 2: a vertex with no edge is then a maximal result, but
     tasks spawn only from vertices that have one."""
-    gam = make_gamma(gamma)
-    if 2 * gam.num < gam.den:
-        raise ValueError(f"gamma must be >= 0.5, got {gam.value}")
+    gam = make_mining_gamma(gamma)
     if tau_size < 2:
         raise ValueError(f"tau_size must be >= 2, got {tau_size}")
     pruned = gg.pruned_subgraph(gam, tau_size)
-    alive, rank, skip = _mining_order(pruned, cfg)
+    alive = {v for v in range(pruned.n) if pruned.adj[v]}
+    rank, skip = pruned.mining_order(alive, quick_plus)
     pruned.order = alive, rank
     k = gam.ceil_mul(tau_size - 1)
     rows = []
@@ -178,19 +180,11 @@ def spawn_all(
     return pruned, rows
 
 
-def _mining_order(pruned: GlobalGraph, cfg: MineConfig):
-    """(alive vertices, rank, (P7) skip set) of the pruned graph."""
-    alive = {v for v in range(pruned.n) if pruned.adj[v]}
-    rank, skip = pruned.mining_order(alive, cfg.degenerate_cover)
-    return alive, rank, skip
-
-
 def _merge_outcome(job: JobResult, outcome) -> list:
     job.results.update(outcome.results)
     job.mine_time += outcome.mine_time
     job.materialize_time += outcome.materialize_time
     job.stats.merge(outcome.stats)
-    job.n_subtasks += len(outcome.subtasks)
     return outcome.subtasks
 
 
@@ -278,8 +272,8 @@ def _mine_rows(
             subs = _merge_outcome(acc, out)
             if subs:
                 queue.push(subs)
-    stat = {"rows": n_rows, "roots": acc.n_root_tasks, "subtasks": acc.n_subtasks,
-            "pulls": n_pulls, "wait": wait, "mine": acc.mine_time,
+    stat = {"rows": n_rows, "roots": acc.n_root_tasks, "pulls": n_pulls,
+            "wait": wait, "mine": acc.mine_time,
             "mat": acc.materialize_time, "filter": 0.0, "stats": acc.stats.__dict__}
     return acc.results, stat, feat_rows
 
@@ -314,7 +308,7 @@ class _Stack:
 
 
 def _task_loop(gg: GlobalGraph, gamma, tau_size: int, executor, *, strategy: str,
-               cfg: MineConfig, collect_task_features: bool, **kw) -> JobResult:
+               collect_task_features: bool, quick_plus: bool = True, **kw) -> JobResult:
     """The task loop both engines share. ``executor(graph, mine, rows)``
     runs the job's one stage: ``mine(*graph, queue)``, i.e.
     :func:`_mine_rows`, in every partition, with a queue whose first
@@ -324,11 +318,11 @@ def _task_loop(gg: GlobalGraph, gamma, tau_size: int, executor, *, strategy: str
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     job = JobResult()
     t_start = time.perf_counter()
-    pruned, spawned = spawn_all(gg, gamma, tau_size, cfg)
+    pruned, spawned = spawn_all(gg, gamma, tau_size, quick_plus)
     job.spawn_time = time.perf_counter() - t_start
     alive, rank = pruned.order
     mine = partial(_mine_rows, gamma=make_gamma(gamma), tau_size=tau_size, strategy=strategy,
-                   cfg=cfg, collect_task_features=collect_task_features, **kw)
+                   quick_plus=quick_plus, collect_task_features=collect_task_features, **kw)
     feats = []
     if spawned:
         t_round = time.perf_counter()
@@ -346,7 +340,6 @@ def _task_loop(gg: GlobalGraph, gamma, tau_size: int, executor, *, strategy: str
             part_stats.append(st)
             feats += feat_rows
             job.n_root_tasks += st["roots"]
-            job.n_subtasks += st["subtasks"]
             job.mine_time += st["mine"]
             job.materialize_time += st["mat"]
             job.worker_filter_time += st["filter"]
@@ -381,12 +374,13 @@ def run_serial(
     strategy: str = "base",
     tau_split: int = 50,
     tau_time: float = 1.0,
-    cfg: MineConfig = QUICK_PLUS,
+    quick_plus: bool = True,
     collect_task_features: bool = False,
 ) -> JobResult:
     """Single-threaded engine: the shared task loop with its stage run
     in-process on a local stack and no candidate filter. So ``results``
-    holds every candidate. Ground truth for the distributed runs."""
+    holds every candidate. Ground truth for the distributed runs.
+    ``quick_plus=False`` mines with Quick (Table 15)."""
 
     def in_process(graph, mine, rows):
         t0 = time.perf_counter()
@@ -394,7 +388,7 @@ def run_serial(
         return [(out, time.perf_counter() - t0)]
 
     return _task_loop(gg, gamma, tau_size, in_process, strategy=strategy,
-                      tau_split=tau_split, tau_time=tau_time, cfg=cfg,
+                      tau_split=tau_split, tau_time=tau_time, quick_plus=quick_plus,
                       collect_task_features=collect_task_features)
 
 
@@ -407,7 +401,6 @@ def run_spark(
     strategy: str = "time",
     tau_split: int = 50,
     tau_time: float = 1.0,
-    cfg: MineConfig = QUICK_PLUS,
     parallelism: int | None = None,
     collect_task_features: bool = False,
 ) -> JobResult:
@@ -416,11 +409,9 @@ def run_spark(
     ``spark.driver.host`` (:func:`repro.gthinker.qglobal.run_stage`, which
     raises ``RuntimeError`` if a partition lost its connection while it
     held rows, and refuses ``spark.speculation``)."""
-    sc = spark.sparkContext
-
     def on_spark(graph, mine, rows):
-        return run_stage(sc, parallelism, graph, rows, partial(_mine_and_filter, mine))
+        return run_stage(spark, parallelism, graph, rows, partial(_mine_and_filter, mine))
 
     return _task_loop(gg, gamma, tau_size, on_spark, strategy=strategy,
-                      tau_split=tau_split, tau_time=tau_time, cfg=cfg,
+                      tau_split=tau_split, tau_time=tau_time,
                       collect_task_features=collect_task_features)

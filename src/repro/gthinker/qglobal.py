@@ -289,23 +289,24 @@ def _drop_zip_finders() -> None:
             del sys.path_importer_cache[path]
 
 
-def run_stage(sc, parallelism: int | None, payload, rows: list, body) -> list[tuple]:
+def run_stage(spark, parallelism: int | None, payload, rows: list, body) -> list[tuple]:
     """One RDD stage of n = min(``parallelism`` or the default, len(``rows``))
-    partitions over a Q_global of ``rows`` dealt in the order given.
-    Partition j runs ``body(payload, its Client)``, ``payload`` being
-    broadcast, then :func:`_drop_zip_finders`. Returns ``(body's value,
-    wall seconds)`` per partition, in partition order. Refuses
-    ``spark.speculation`` before broadcasting; raises ``RuntimeError``
-    if a partition lost its connection while it held rows. The broadcast
-    is unpersisted and the server closed however the stage ends."""
-    conf = sc.getConf()
-    if conf.get("spark.speculation", "false").lower() == "true":
+    partitions, on the SparkSession ``spark``, over a Q_global of ``rows``
+    dealt in the order given. Partition j runs ``body(payload, its
+    Client)``, ``payload`` being broadcast, then :func:`_drop_zip_finders`.
+    Returns ``(body's value, wall seconds)`` per partition, in partition
+    order. Refuses ``spark.speculation`` (read from ``spark.conf``) before
+    broadcasting; raises ``RuntimeError`` if a partition lost its
+    connection while it held rows. The broadcast is unpersisted and the
+    server closed however the stage ends."""
+    if spark.conf.get("spark.speculation", "false").lower() == "true":
         raise ValueError("a Q_global stage cannot run with spark.speculation on: a killed "
                          "speculative attempt would take the task rows it holds with it")
+    sc = spark.sparkContext
     n = min(parallelism or sc.defaultParallelism, len(rows))
     bc = sc.broadcast(payload)
     try:
-        with closing(Server(QGlobal(_deal(rows, n)), conf.get("spark.driver.host"))) as server:
+        with closing(Server(QGlobal(_deal(rows, n)), spark.conf.get("spark.driver.host"))) as server:
             address, token = server.address, server.token
 
             def partition(part):

@@ -12,9 +12,9 @@ import time
 from dataclasses import dataclass, field
 
 from ..core.bitset import bits
-from ..core.gamma import Gamma, make_gamma
+from ..core.gamma import Gamma
 from ..core.graph import LocalGraph
-from ..core.quickplus import QUICK_PLUS, MineConfig, Miner, MineStats
+from ..core.quickplus import Miner, MineStats
 
 __all__ = ["TaskOutcome", "run_task", "STRATEGIES"]
 
@@ -45,7 +45,7 @@ def run_task(
     strategy: str = "base",
     tau_split: int = 50,
     tau_time: float = 1.0,
-    cfg: MineConfig = QUICK_PLUS,
+    quick_plus: bool = True,
 ) -> TaskOutcome:
     """Execute iteration 3 of UDF compute() (Algorithms 8–10).
 
@@ -55,9 +55,10 @@ def run_task(
         |ext(S)| > τ_split, else mine serially.
       * ``time``  — Algorithms 9/10: mine with a τ_time budget; on
         timeout every surviving branch becomes a subtask.
+
+    ``quick_plus=False`` mines with Quick (Table 15).
     """
-    gam = make_gamma(gamma)
-    miner = Miner(g=graph, gamma=gam, tau_size=tau_size, cfg=cfg)
+    miner = Miner(g=graph, gamma=gamma, tau_size=tau_size, quick_plus=quick_plus)
     t0 = time.perf_counter()
     if strategy == "base":
         miner.recursive_mine(s_mask, ext_mask)

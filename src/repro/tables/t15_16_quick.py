@@ -1,6 +1,6 @@
 """Tables 15 & 16 — Quick+ vs Quick, and per-pruning-phase cost.
 
-Table 15: single-threaded Quick+ vs the Quick emulation on every
+Table 15: single-threaded Quick+ vs Quick (``quick_plus=False``) on every
 dataset; reports times and the results Quick misses (the paper found 1
 missed result on CX_GSE1730 / Ca-GrQc).
 Table 16: Quick+'s cumulative time inside each pruning phase —
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pandas as pd
 
-from ..core.quickplus import QUICK_ORIGINAL, QUICK_PLUS
 from ..gthinker.engine import run_serial
 from .common import DATASETS, cached_dataset, print_table
 
@@ -21,10 +20,9 @@ def run_t15(datasets: list[str] | None = None) -> pd.DataFrame:
     rows = []
     for name in datasets or list(DATASETS):
         gg, spec = cached_dataset(name)
-        plus = run_serial(gg, spec.gamma, spec.tau_size, strategy="base",
-                          cfg=QUICK_PLUS)
+        plus = run_serial(gg, spec.gamma, spec.tau_size, strategy="base")
         orig = run_serial(gg, spec.gamma, spec.tau_size, strategy="base",
-                          cfg=QUICK_ORIGINAL)
+                          quick_plus=False)
         rows.append({
             "Dataset": name,
             "QuickPlus_s": round(plus.job_time, 2),
@@ -41,8 +39,7 @@ def run_t16(datasets: list[str] | None = None) -> pd.DataFrame:
     rows = []
     for name in datasets or T16_DATASETS:
         gg, spec = cached_dataset(name)
-        job = run_serial(gg, spec.gamma, spec.tau_size, strategy="base",
-                         cfg=QUICK_PLUS)
+        job = run_serial(gg, spec.gamma, spec.tau_size, strategy="base")
         s = job.stats
         rows.append({
             "Dataset": name,

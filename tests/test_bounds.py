@@ -42,6 +42,11 @@ def graph_split(draw):
     return g, mask_of(s), mask_of(ext), make_gamma(gamma)
 
 
+def ceil_table(snap, gam):
+    """ceil(γ·x) for every x the bounds of one snapshot read: x < |S| + |ext|."""
+    return gam.ceil_table(len(snap.s_list) + len(snap.ext_list))
+
+
 def valid_extensions(g, S, ext, gam):
     """All Z ⊆ ext with S∪Z a γ-quasi-clique (degree condition only —
     connectivity is implied for the γ ≥ 0.5 values used here)."""
@@ -64,7 +69,8 @@ class TestUpperBound:
         g, S, ext, gam = gs
         if gam.num == 0 or ext == 0:
             return
-        u_s = upper_bound(DegreeSnapshot(g, S, ext), gam)
+        snap = DegreeSnapshot(g, S, ext)
+        u_s = upper_bound(snap, gam, ceil_table(snap, gam))
         for z in valid_extensions(g, S, ext, gam):
             if z.bit_count() >= 1:
                 assert u_s is not None and z.bit_count() <= u_s, (
@@ -74,7 +80,8 @@ class TestUpperBound:
     def test_clique_allows_full_extension(self):
         g = LocalGraph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
         snap = DegreeSnapshot(g, mask_of({0}), mask_of({1, 2, 3}))
-        u_s = upper_bound(snap, make_gamma(1.0))
+        gam = make_gamma(1.0)
+        u_s = upper_bound(snap, gam, ceil_table(snap, gam))
         assert u_s == 3
 
 
@@ -85,7 +92,8 @@ class TestLowerBound:
         g, S, ext, gam = gs
         if gam.num == 0 or ext == 0:
             return
-        l_s = lower_bound(DegreeSnapshot(g, S, ext), gam)
+        snap = DegreeSnapshot(g, S, ext)
+        l_s = lower_bound(snap, ceil_table(snap, gam))
         for z in valid_extensions(g, S, ext, gam):
             assert l_s is not None and z.bit_count() >= l_s, (
                 f"valid extension of size {z.bit_count()} below L_S={l_s}"
@@ -94,7 +102,7 @@ class TestLowerBound:
     def test_quasi_clique_s_gives_zero(self):
         g = LocalGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         snap = DegreeSnapshot(g, mask_of({0, 1, 2}), 0)
-        assert lower_bound(snap, make_gamma(0.5)) == 0
+        assert lower_bound(snap, ceil_table(snap, make_gamma(0.5))) == 0
 
 
 class TestCriticalVertex:
@@ -107,10 +115,11 @@ class TestCriticalVertex:
         if gam.num == 0 or ext == 0:
             return
         snap = DegreeSnapshot(g, S, ext)
-        l_s = lower_bound(snap, gam)
+        ceil = ceil_table(snap, gam)
+        l_s = lower_bound(snap, ceil)
         if l_s is None:
             return
-        for v in critical_vertices(snap, gam, l_s):
+        for v in critical_vertices(snap, l_s, ceil):
             nbrs = g.adj[v] & ext
             for z in valid_extensions(g, S, ext, gam):
                 if z != 0:  # strict extension
@@ -125,8 +134,9 @@ class TestCoverVertex:
         g, S, ext, gam = gs
         if gam.num == 0 or ext == 0:
             return
+        thr = gam.ceil_mul(S.bit_count())
         for u in bits(ext):
-            c = cover_set(g, S, ext, gam, u)
+            c = cover_set(g.adj, S, ext, thr, u)
             if c is None or c == 0:
                 continue
             for z in valid_extensions(g, S, c & ~(1 << u), gam):
@@ -142,8 +152,9 @@ class TestCoverVertex:
         g, S, ext, gam = gs
         u, c = best_cover_vertex(g, S, ext, gam)
         sizes = {}
+        thr = gam.ceil_mul(S.bit_count())
         for cand in bits(ext):
-            cs = cover_set(g, S, ext, gam, cand) if S else (g.adj[cand] & ext)
+            cs = cover_set(g.adj, S, ext, thr, cand) if S else (g.adj[cand] & ext)
             if cs is not None:
                 sizes[cand] = cs.bit_count()
         if u is None:

@@ -2,18 +2,18 @@
 import pytest
 
 from repro.core.gamma import make_gamma
-from repro.graphs.datasets import DATASETS, dataset_names, load_dataset
+from repro.graphs.datasets import DATASETS, load_dataset
 
 
 class TestRegistry:
     def test_ten_datasets_like_the_paper(self):
         assert len(DATASETS) == 10
-        assert set(dataset_names()) == {
+        assert set(DATASETS) == {
             "CX_GSE1730", "CX_GSE10158", "Ca-GrQc", "Enron", "Amazon",
             "Hyves", "YouTube", "Patent", "kmer", "USA Road",
         }
 
-    @pytest.mark.parametrize("name", dataset_names())
+    @pytest.mark.parametrize("name", list(DATASETS))
     def test_specs_sane(self, name):
         spec = DATASETS[name]
         assert 0.5 <= spec.gamma <= 1.0
@@ -28,7 +28,7 @@ class TestRegistry:
         g2, _ = load_dataset(name)
         assert g1.adj == g2.adj
 
-    @pytest.mark.parametrize("name", dataset_names())
+    @pytest.mark.parametrize("name", list(DATASETS))
     def test_pruned_graph_nonempty(self, name):
         """Default (γ, τ_size) must leave a non-trivial pruned graph —
         otherwise the dataset exercises nothing (paper Table 3(b))."""

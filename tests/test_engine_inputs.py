@@ -59,6 +59,16 @@ def test_matches_brute_force(request, engine, case, gamma, tau_size):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
+def test_gamma_below_half_refused(request, engine):
+    """A 6-cycle is a 0.4-quasi-clique of diameter 3, which the (P1)
+    two-hop shrink would lose: refuse γ < 0.5 rather than return ∅."""
+    edges = [(i, (i + 1) % 6) for i in range(6)]
+    assert frozenset(range(6)) in expected(edges, 0.4, 6)
+    with pytest.raises(ValueError, match=r"gamma must be >= 0\.5, got 0\.4"):
+        mine(request, engine, edges, 0.4, 6)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 def test_tau_size_1_refused(request, engine):
     """With τ_size = 1 a vertex without edges is a maximal result, which
     brute force finds and the task spawn never visits: refuse it."""

@@ -13,12 +13,11 @@ from repro.core.brute import brute_force_maximal
 from repro.core.gamma import make_gamma
 from repro.core.graph import LocalGraph
 from repro.core.postprocess import maximal_only
-from repro.core.quickplus import QUICK_PLUS
 from repro.graphs.datasets import load_dataset
 from repro.graphs.generators import edges_pdf, planted_community_graph
 from repro.graphs.global_graph import GlobalGraph
 from repro.gthinker.engine import (
-    _mine_rows, _mining_order, _Stack, run_serial, run_spark, spawn_all,
+    _mine_rows, _Stack, run_serial, run_spark, spawn_all,
 )
 from repro.gthinker.qglobal import ROOT
 from repro.gthinker.tasks import run_task
@@ -103,7 +102,6 @@ class TestSparkEngine:
         job = run_spark(spark, comm_gg, 0.85, 9, strategy="time",
                         tau_time=0.001, parallelism=parallelism)
         assert job.maximal == serial.maximal
-        assert job.n_subtasks == job.stats.n_subtasks
 
     @pytest.mark.parametrize("strategy,kw", [
         ("base", {}),
@@ -113,10 +111,11 @@ class TestSparkEngine:
     def test_n_subtasks_counts_every_subtask_created(
         self, spark, comm_gg, strategy, kw
     ):
-        """Every subtask counts, whichever partition ran it."""
+        """Every subtask counts, whichever partition ran it: each one
+        created is run once, as a row beyond the spawn rows."""
         for job in (run_serial(comm_gg, 0.85, 9, strategy=strategy, **kw),
                     run_spark(spark, comm_gg, 0.85, 9, strategy=strategy, **kw)):
-            assert job.n_subtasks == job.stats.n_subtasks
+            assert job.n_subtasks == sum(job.stage.part_rows) - job.stage.rows_in
 
     @pytest.mark.parametrize("parallelism", [1, 2, 4])
     def test_one_stage_record(self, spark, comm_gg, caplog, parallelism):
@@ -169,9 +168,19 @@ class TestSparkEngine:
 
     def test_speculation_refused(self, comm_gg):
         conf = {"spark.speculation": "true"}
-        sc = SimpleNamespace(getConf=lambda: SimpleNamespace(get=lambda k, d=None: conf.get(k, d)))
+        spark = SimpleNamespace(conf=SimpleNamespace(get=lambda k, d=None: conf.get(k, d)))
         with pytest.raises(ValueError, match="spark.speculation"):
-            run_spark(SimpleNamespace(sparkContext=sc), comm_gg, 0.85, 9)
+            run_spark(spark, comm_gg, 0.85, 9)
+
+    def test_stage_copies_no_spark_conf(self, spark, comm_gg, monkeypatch):
+        """The stage reads spark.speculation and spark.driver.host from
+        spark.conf: SparkContext.getConf copies every key over Py4J."""
+        def copy_conf():
+            raise AssertionError("the stage copied the SparkConf")
+
+        monkeypatch.setattr(spark.sparkContext, "getConf", copy_conf)
+        job = run_spark(spark, comm_gg, 0.85, 9, strategy="base")
+        assert job.maximal == run_serial(comm_gg, 0.85, 9).maximal
 
     @pytest.mark.parametrize("engine", ["serial", "spark"])
     def test_job_record_as_json(self, spark, comm_gg, engine):
@@ -214,12 +223,12 @@ class TestLocalDrain:
     """One partition's body, run in-process on every spawn row at
     τ_time = 0, where each task decomposes the same way on every run."""
 
-    KW = dict(strategy="time", tau_split=50, tau_time=0.0, cfg=QUICK_PLUS)
+    KW = dict(strategy="time", tau_split=50, tau_time=0.0)
 
     @pytest.fixture(scope="class")
     def partition(self, comm_gg):
         pruned, spawned = spawn_all(comm_gg, 0.85, 9)
-        alive, rank, _ = _mining_order(pruned, QUICK_PLUS)
+        alive, rank = pruned.order
         rows = [[ROOT, [v], []] for v, _ in spawned]
         return pruned, alive, rank, rows
 
@@ -230,9 +239,10 @@ class TestLocalDrain:
     def test_unbounded_drain_ships_no_subtask(self, partition, comm_gg):
         """On run_serial's stack, every subtask is mined where it was made."""
         cands, stat, _ = self.mine(partition, _Stack(partition[3]))
-        assert stat["rows"] == len(partition[3]) + stat["subtasks"]
-        assert stat["subtasks"] == stat["stats"]["n_subtasks"] > 0
-        assert stat["pulls"] == stat["subtasks"] + 2
+        n_subtasks = stat["stats"]["n_subtasks"]
+        assert stat["rows"] == len(partition[3]) + n_subtasks
+        assert n_subtasks > 0
+        assert stat["pulls"] == n_subtasks + 2
         assert maximal_only(cands) == run_serial(comm_gg, 0.85, 9, strategy="base").maximal
 
     def test_pushes_what_run_task_returns(self, partition):
@@ -248,7 +258,7 @@ class TestLocalDrain:
             if t is not None:
                 expect += run_task(t.graph, t.ids, t.s_mask, t.ext_mask,
                                    make_gamma(0.85), 9, **self.KW).subtasks
-        assert len(pushed) == len(expect) == stat["subtasks"] > 0
+        assert len(pushed) == len(expect) == stat["stats"]["n_subtasks"] > 0
         assert set(pushed) == set(expect)
 
 

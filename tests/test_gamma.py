@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.gamma import Gamma, make_gamma
+from repro.core.gamma import Gamma, make_gamma, make_mining_gamma
 
 
 class TestCeilMul:
@@ -69,3 +69,13 @@ class TestMakeGamma:
         assert make_gamma(0.5) == make_gamma("1/2")
         assert hash(make_gamma(0.5)) == hash(make_gamma("1/2"))
         assert make_gamma(0.5) != make_gamma(0.6)
+
+
+class TestMakeMiningGamma:
+    def test_half_accepted(self):
+        assert make_mining_gamma("1/2") == make_gamma(0.5)
+
+    @pytest.mark.parametrize("bad", [0.0, 0.49, "4999/10000"])
+    def test_below_half_refused(self, bad):
+        with pytest.raises(ValueError, match=r"gamma must be >= 0\.5"):
+            make_mining_gamma(bad)

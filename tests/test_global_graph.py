@@ -102,7 +102,7 @@ class TestPrune:
 class TestMiningOrder:
     def test_degenerate_order_puts_vmax_first(self, gg):
         alive = {v for v in range(gg.n) if gg.adj[v]}
-        rank, skip = gg.mining_order(alive, degenerate_cover=True)
+        rank, skip = gg.mining_order(alive, quick_plus=True)
         vmax = max(alive, key=lambda v: (len(gg.adj[v] & alive), -v))
         assert rank[vmax] == 0
         assert skip == gg.adj[vmax] & alive
@@ -112,7 +112,7 @@ class TestMiningOrder:
 
     def test_plain_order_is_permutation(self, gg):
         alive = {v for v in range(gg.n) if gg.adj[v]}
-        rank, skip = gg.mining_order(alive, degenerate_cover=False)
+        rank, skip = gg.mining_order(alive, quick_plus=False)
         assert skip == set()
         assert sorted(rank.values()) == list(range(len(alive)))
 

@@ -7,12 +7,12 @@ from repro.core.bitset import bits, mask_of
 from repro.core.brute import is_quasi_clique
 from repro.core.gamma import make_gamma
 from repro.core.graph import LocalGraph
-from repro.core.quickplus import QUICK_ORIGINAL, QUICK_PLUS, MineConfig, Miner
+from repro.core.quickplus import Miner
 
 
-def miner_for(n, edges, gamma=0.9, tau=3, cfg=QUICK_PLUS):
+def miner_for(n, edges, gamma=0.9, tau=3, quick_plus=True):
     g = LocalGraph.from_edges(n, edges)
-    return Miner(g=g, gamma=make_gamma(gamma), tau_size=tau, cfg=cfg)
+    return Miner(g=g, gamma=make_gamma(gamma), tau_size=tau, quick_plus=quick_plus)
 
 
 class TestReturnContract:
@@ -65,8 +65,7 @@ class TestCriticalMove:
         assert frozenset({0, 1, 2}) in m.results
 
     def test_quick_single_critical_still_sound(self):
-        m = miner_for(3, [(0, 2), (1, 2)], gamma=0.5, tau=3,
-                      cfg=QUICK_ORIGINAL)
+        m = miner_for(3, [(0, 2), (1, 2)], gamma=0.5, tau=3, quick_plus=False)
         m.iterative_bounding(mask_of({0, 1}), mask_of({2}))
         for res in m.results:
             assert is_quasi_clique(m.g, mask_of(res), 0.5)
@@ -95,23 +94,25 @@ class TestTypeIIPruning:
 class TestEmitDedup:
     def test_duplicate_emissions_counted_once(self):
         m = miner_for(3, [(0, 1), (0, 2), (1, 2)], gamma=1.0, tau=3)
-        assert m._emit_if_valid(mask_of({0, 1, 2}))
-        assert m._emit_if_valid(mask_of({0, 1, 2}))
+        assert m.emit_if_valid(mask_of({0, 1, 2}))
+        assert m.emit_if_valid(mask_of({0, 1, 2}))
         assert m.stats.n_emitted == 1 and len(m.results) == 1
 
     def test_invalid_not_emitted(self):
         m = miner_for(3, [(0, 1)], gamma=1.0, tau=2)
-        assert not m._emit_if_valid(mask_of({0, 1, 2}))
+        assert not m.emit_if_valid(mask_of({0, 1, 2}))
         assert not m.results
 
 
 class TestGammaBelowHalf:
-    def test_connectivity_checked_when_gamma_small(self):
+    def test_miner_refuses_gamma_below_half(self):
         # two disjoint edges: with gamma=0.3 and |S|=4 the degree bound
-        # is ceil(0.3*3)=1, which both components satisfy — only the
-        # connectivity check rejects the union.
-        m = miner_for(4, [(0, 1), (2, 3)], gamma=0.3, tau=4)
-        assert not m._is_qc(mask_of({0, 1, 2, 3}))
+        # is ceil(0.3*3)=1, which both components satisfy, so the degree
+        # test alone would accept the disconnected union. The miner
+        # assumes diameter ≤ 2 and refuses γ < 0.5 instead.
+        with pytest.raises(ValueError, match=r"gamma must be >= 0\.5, got 0\.3"):
+            miner_for(4, [(0, 1), (2, 3)], gamma=0.3, tau=4)
+        assert miner_for(4, [(0, 1), (2, 3)], gamma=0.5, tau=4).gamma == make_gamma("1/2")
 
 
 class TestCeilingTable:

@@ -64,6 +64,14 @@ class TestKernelExpansion:
             if dropped:
                 assert max(len(s) for s in dropped) <= max(kept, kept)
 
+    @pytest.mark.parametrize("kernels", [True, False], ids=["kernels", "no kernel"])
+    def test_gamma_below_half_refused(self, kernels):
+        """The 2-hop candidate scope assumes diameter ≤ 2, so γ < 0.5 is
+        refused, also where phase 1 would find no kernel to expand."""
+        gg = _case() if kernels else GlobalGraph.from_edges([(0, 1)])
+        with pytest.raises(ValueError, match=r"gamma must be >= 0\.5, got 0\.4"):
+            kernel_expansion(gg, gamma_prime=0.95, k_prime=3, gamma=0.4, k=5, tau_size=6)
+
     def test_phase_times_recorded(self):
         gg = _case()
         out = kernel_expansion(

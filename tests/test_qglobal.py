@@ -1,6 +1,6 @@
 """Q_global (repro/gthinker/qglobal.py) without Spark: the queue's order
 and termination, its TCP transport, and the stage executor's cleanup on
-a stub SparkContext. Every thread is joined with a timeout, so a hang
+a stub SparkSession. Every thread is joined with a timeout, so a hang
 fails the test instead of stalling the suite."""
 import socket
 import struct
@@ -238,19 +238,19 @@ class ExecutorLost(Exception):
     pass
 
 
-class StubContext:
-    """A SparkContext stand-in for :func:`run_stage`: its stage runs
-    partition 0 in-process, then fails as if another partition's
-    executor were lost."""
+class StubSession:
+    """A SparkSession stand-in for :func:`run_stage`, its own
+    ``sparkContext``: its stage runs partition 0 in-process, then fails
+    as if another partition's executor were lost. It has no
+    ``getConf``, so the stage reads only ``spark.conf``."""
 
     defaultParallelism = 2
 
     def __init__(self, **conf):
-        self._conf = {"spark.driver.host": "127.0.0.1", **conf}
+        values = {"spark.driver.host": "127.0.0.1", **conf}
+        self.conf = SimpleNamespace(get=lambda k, d=None: values.get(k, d))
+        self.sparkContext = self
         self.broadcasts = []
-
-    def getConf(self):
-        return SimpleNamespace(get=lambda k, d=None: self._conf.get(k, d))
 
     def broadcast(self, value):
         bc = SimpleNamespace(value=value, unpersisted=False)
@@ -275,16 +275,16 @@ STAGES = {  # every caller of run_stage, on a graph with rows to run
 
 @pytest.mark.parametrize("caller", STAGES)
 def test_failed_stage_unpersists_and_joins(caller):
-    sc = StubContext()
+    spark = StubSession()
     with pytest.raises(ExecutorLost):
-        STAGES[caller](SimpleNamespace(sparkContext=sc))
-    assert [bc.unpersisted for bc in sc.broadcasts] == [True]
+        STAGES[caller](spark)
+    assert [bc.unpersisted for bc in spark.broadcasts] == [True]
     assert no_server_threads()
 
 
 @pytest.mark.parametrize("caller", STAGES)
 def test_speculation_refused_before_broadcast(caller):
-    sc = StubContext(**{"spark.speculation": "true"})
+    spark = StubSession(**{"spark.speculation": "true"})
     with pytest.raises(ValueError, match="spark.speculation"):
-        STAGES[caller](SimpleNamespace(sparkContext=sc))
-    assert sc.broadcasts == []
+        STAGES[caller](spark)
+    assert spark.broadcasts == []

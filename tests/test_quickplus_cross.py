@@ -11,7 +11,6 @@ import pytest
 from repro.core.bitset import bits
 from repro.core.brute import brute_force_maximal
 from repro.core.graph import LocalGraph
-from repro.core.quickplus import QUICK_ORIGINAL, QUICK_PLUS, MineConfig
 from repro.graphs.global_graph import GlobalGraph
 from repro.gthinker.engine import run_serial
 
@@ -54,15 +53,6 @@ class TestExactness:
         assert job.maximal == expect
 
 
-@pytest.mark.parametrize("seed", CASE_SEEDS[:12])
-def test_no_degenerate_cover_still_exact(seed):
-    g, gg, gamma, tau = make_case(seed)
-    expect = brute_force_maximal(g, gamma, tau)
-    cfg = MineConfig(degenerate_cover=False)
-    job = run_serial(gg, gamma, tau, strategy="base", cfg=cfg)
-    assert job.maximal == expect
-
-
 @pytest.mark.parametrize("seed", CASE_SEEDS[:15])
 def test_quick_original_sound_but_maybe_incomplete(seed):
     """The Quick emulation may MISS results (that is the paper's point)
@@ -75,7 +65,7 @@ def test_quick_original_sound_but_maybe_incomplete(seed):
 
     g, gg, gamma, tau = make_case(seed)
     expect = brute_force_maximal(g, gamma, tau)
-    job = run_serial(gg, gamma, tau, strategy="base", cfg=QUICK_ORIGINAL)
+    job = run_serial(gg, gamma, tau, strategy="base", quick_plus=False)
     for s in job.maximal:
         assert len(s) >= tau
         assert is_quasi_clique(g, mask_of(s), gamma)
@@ -89,7 +79,7 @@ def test_quick_original_misses_results_somewhere():
     for seed in range(120):
         g, gg, gamma, tau = make_case(seed)
         expect = brute_force_maximal(g, gamma, tau)
-        orig = run_serial(gg, gamma, tau, strategy="base", cfg=QUICK_ORIGINAL)
+        orig = run_serial(gg, gamma, tau, strategy="base", quick_plus=False)
         if expect - orig.maximal:
             missed += 1
     assert missed >= 1, "expected Quick emulation to miss results on some input"

@@ -11,7 +11,6 @@ import dataclasses
 
 import pytest
 
-from repro.core.quickplus import QUICK_ORIGINAL, QUICK_PLUS
 from repro.gthinker.engine import run_serial
 from repro.tables.common import cached_dataset
 
@@ -34,7 +33,7 @@ EXPECTED = {
     ("USA Road", "plus"): (1131, 1131, 985, 1131, 1486, 0, 1131, 54, 239, 0, 1394),
     ("USA Road", "orig"): (1131, 1131, 986, 1131, 1484, 0, 1131, 54, 236, 0, 1394),
 }
-CONFIGS = {"plus": QUICK_PLUS, "orig": QUICK_ORIGINAL}
+CONFIGS = {"plus": True, "orig": False}  # quick_plus
 
 # Serial A_split at tau_split = 5 under Quick+, same columns, recorded
 # while run_serial drained subtasks FIFO. Every subtask is mined to the
@@ -62,7 +61,7 @@ def pinned(job) -> tuple:
 def test_counters_pinned(dataset, config):
     gg, spec = cached_dataset(dataset)
     job = run_serial(gg, spec.gamma, spec.tau_size, strategy="base",
-                     cfg=CONFIGS[config])
+                     quick_plus=CONFIGS[config])
     assert pinned(job) == EXPECTED[dataset, config]
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from repro.core.bitset import mask_of
 from repro.core.graph import LocalGraph
-from repro.core.quickplus import QUICK_PLUS
 from repro.gthinker.tasks import run_task
 
 
@@ -69,6 +68,6 @@ class TestRunTask:
     def test_stats_populated(self, clique6):
         g, ids = clique6
         out = run_task(g, ids, mask_of({0}), mask_of(range(1, 6)), 0.9, 3,
-                       strategy="base", cfg=QUICK_PLUS)
+                       strategy="base")
         assert out.stats.n_recursive_calls >= 1
         assert out.stats.n_emitted == len(out.results)
