@@ -24,7 +24,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .bitset import mask_of
 from .gamma import make_mining_gamma
 from .postprocess import maximal_only
 from .quickplus import Miner
@@ -47,26 +46,22 @@ def _expand_kernel(gg: GlobalGraph, kernel: frozenset[int], gam, tau_size):
     """Phase 2 for one kernel: candidates = 2-hop neighbourhood of the
     kernel (k-core-pruned), then exact mining of ⟨S, ext(S)⟩."""
     k = gam.ceil_mul(tau_size - 1)
-    scope: set[int] = set(kernel)
+    scope: set[int] = set()
     for v in kernel:
         scope |= gg.two_hop(v)
-    scope = {v for v in scope if len(gg.adj[v]) >= k}
-    scope |= set(kernel)
-    g, ids = gg.induce_local(scope)
-    pos = {u: i for i, u in enumerate(ids)}
-    s_mask = mask_of(pos[v] for v in kernel)
-    ext_mask = mask_of(pos[v] for v in scope - set(kernel))
-    miner = Miner(g=g, gamma=gam, tau_size=tau_size)
+    task = gg.task(kernel, {v for v in scope - kernel if len(gg.adj[v]) >= k})
+    miner = Miner(g=task.graph, gamma=gam, tau_size=tau_size)
+    s_mask, ext_mask = task.s_mask, task.ext_mask
     pruned = False
     if ext_mask:
         pruned, s_mask, ext_mask = miner.iterative_bounding(s_mask, ext_mask)
     if not pruned and ext_mask:
-        found = miner.recursive_mine(s_mask, ext_mask)
+        found = miner.mine(s_mask, ext_mask)
         if not found:
             miner.emit_if_valid(s_mask)
     else:
         miner.emit_if_valid(s_mask)
-    return {frozenset(ids[i] for i in s) for s in miner.results}
+    return {frozenset(task.ids[i] for i in s) for s in miner.results}
 
 
 def kernel_expansion(

@@ -6,13 +6,13 @@ One :class:`Miner` instance mines one *task subgraph* (a compact-id
 * ``iterative_bounding`` — Algorithm 2: the fixed-point loop over the
   (P3)–(P6) rules, including the critical-vertex movement and the
   boundary cases Quick+ fixes.
-* ``recursive_mine`` — Algorithm 3: cover-vertex ordering (P7),
-  lookahead, diameter shrink (P1), recursion.
-* ``time_delayed`` — Algorithm 10: same control flow, but once the
-  elapsed time passes ``tau_time`` every remaining branch is wrapped
-  into a subtask via ``subtask_sink`` (Figure 9).
-* ``split_level`` — Algorithm 8 lines 3–23: one level of eager
-  decomposition when ``|ext(S)| > tau_split``.
+* ``mine`` — Algorithm 3: cover-vertex ordering (P7), lookahead,
+  diameter shrink (P1), recursion. With a ``deadline`` it is
+  Algorithm 10: once ``time.perf_counter()`` passes the deadline, every
+  surviving branch is wrapped as a subtask instead of recursed into
+  (Figure 9). A deadline already past (``-inf``) wraps every surviving
+  top-level branch, which is Algorithm 8's one level of eager
+  decomposition.
 
 One switch, ``quick_plus``, selects the kernel: ``False`` runs the
 original Quick algorithm (Table 15), without the Quick+ additions the
@@ -25,8 +25,8 @@ assumes diameter ≤ 2.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, fields
+from time import perf_counter
 
 from .bitset import bits
 from .bounds import (
@@ -68,15 +68,14 @@ class MineStats:
 class Miner:
     """Mines one task subgraph. ``results`` collects vertex-index
     frozensets (compact ids — callers map back to global ids);
-    ``subtasks`` collects (S_mask, ext_mask) pairs produced by the
-    split/timeout decompositions. ``quick_plus=False`` mines as Quick.
+    ``subtasks`` collects the (S_mask, ext_mask) pairs :meth:`mine`
+    wraps once its deadline has passed. ``quick_plus=False`` mines as Quick.
     Raises ``ValueError`` for γ < 0.5."""
 
     g: LocalGraph
     gamma: Gamma
     tau_size: int
     quick_plus: bool = True
-    clock: object = time.perf_counter
     results: set = field(default_factory=set)
     subtasks: list = field(default_factory=list)
     stats: MineStats = field(default_factory=MineStats)
@@ -149,11 +148,11 @@ class Miner:
         while True:
             # --- one degree snapshot per round; bounds (P4, P5); Type II
             # may fire here (boundary fix)
-            t0 = self.clock()
+            t0 = perf_counter()
             snap = DegreeSnapshot(self.g, S, ext)
             u_s = upper_bound(snap, gam, ceil)
             l_s = lower_bound(snap, ceil)
-            stats.t_bounds += self.clock() - t0
+            stats.t_bounds += perf_counter() - t0
             if l_s is None:
                 stats.n_type2_pruned += 1
                 return True, S, ext  # S and extensions pruned, no emit
@@ -167,7 +166,7 @@ class Miner:
                 return True, S, ext  # L_S ≥ 1 here, so S itself invalid
 
             # --- critical vertices (P6), batched in Quick+
-            t0 = self.clock()
+            t0 = perf_counter()
             crit = critical_vertices(snap, l_s, ceil)
             moved = 0
             for v in crit:
@@ -175,7 +174,7 @@ class Miner:
                 moved |= m
                 if m and not self.quick_plus:
                     break  # Quick moves one critical vertex per round
-            stats.t_critical += self.clock() - t0
+            stats.t_critical += perf_counter() - t0
             if moved:
                 if self.quick_plus:
                     # Quick+ fix: G(S) may be maximal if the forced
@@ -236,36 +235,20 @@ class Miner:
         self.emit_if_valid(S)
         return True, S, ext
 
-    # ------------------------------------------------- Algorithm 3
-    def recursive_mine(self, S: int, ext: int) -> bool:
+    # -------------------------------------------- Algorithms 3, 8, 10
+    def mine(self, S: int, ext: int, deadline: float | None = None) -> bool:
         """Depth-first set-enumeration mining; returns True iff some
-        valid quasi-clique strictly extending S was emitted."""
-        return self._mine_loop(S, ext, deadline=None, split=None)
-
-    # ------------------------------------------------ Algorithm 10
-    def time_delayed(self, S: int, ext: int, deadline: float) -> bool:
-        """Timeout-based decomposition: behaves like recursive_mine
-        until ``clock() > deadline``, after which every surviving branch
-        is wrapped as a subtask (appended to ``self.subtasks``)."""
-        return self._mine_loop(S, ext, deadline=deadline, split=None)
-
-    # ------------------------------------------------- Algorithm 8
-    def split_level(self, S: int, ext: int) -> bool:
-        """One level of eager decomposition (A_split's big-task path):
-        children go to ``self.subtasks`` instead of being recursed."""
-        return self._mine_loop(S, ext, deadline=None, split=True)
-
-    def _mine_loop(
-        self, S: int, ext: int, deadline: float | None, split: bool | None
-    ) -> bool:
+        valid quasi-clique strictly extending S was emitted. Once
+        ``perf_counter() > deadline``, every surviving branch is wrapped
+        as a subtask (appended to ``self.subtasks``), not recursed into."""
         gam, g, stats = self.gamma, self.g, self.stats
         stats.n_recursive_calls += 1
         found = False
 
         # (P7) cover-vertex pruning: park C_S(u) at the tail, never iterated
-        t0 = self.clock()
+        t0 = perf_counter()
         _, c_mask = best_cover_vertex(g, S, ext, gam)
-        stats.t_cover += self.clock() - t0
+        stats.t_cover += perf_counter() - t0
         stats.n_cover_pruned += c_mask.bit_count()
 
         for v in self._ext_order(S, ext & ~c_mask):
@@ -273,9 +256,9 @@ class Miner:
                 continue  # pruned from ext by an earlier sibling's shrink
             if S.bit_count() + ext.bit_count() < self.tau_size:
                 return found  # Alg 3 lines 6–7
-            t0 = self.clock()
+            t0 = perf_counter()
             whole = self._is_qc(S | ext)
-            stats.t_lookahead += self.clock() - t0
+            stats.t_lookahead += perf_counter() - t0
             if whole:  # lookahead, Alg 3 lines 8–10
                 stats.n_lookahead_hits += 1
                 self.emit_if_valid(S | ext)
@@ -297,7 +280,7 @@ class Miner:
             if s2.bit_count() + ext2.bit_count() < self.tau_size:
                 continue
 
-            if split or (deadline is not None and self.clock() > deadline):
+            if deadline is not None and perf_counter() > deadline:
                 # Alg 8 lines 12–21 / Alg 10 lines 18–24: wrap as subtask;
                 # the parent cannot see the child's results, so examine
                 # G(S') now (postprocessing removes it if non-maximal).
@@ -306,7 +289,7 @@ class Miner:
                 self.emit_if_valid(s2)
                 continue
 
-            sub_found = self._mine_loop(s2, ext2, deadline, split=None)
+            sub_found = self.mine(s2, ext2, deadline)
             found = found or sub_found
             if not sub_found:  # Alg 3 lines 23–25
                 if self.emit_if_valid(s2):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ..core.bitset import mask_of
 from ..core.maxclique import max_clique
 from ..graphs.global_graph import GlobalGraph
 from .qglobal import run_stage
@@ -42,14 +41,12 @@ def _triangles_at(gg: GlobalGraph, v: int) -> int:
 
 def _max_clique_at(gg: GlobalGraph, v: int) -> int:
     """Size of the largest clique whose smallest vertex is v."""
-    cand = sorted(u for u in gg.adj[v] if u > v)
+    cand = [u for u in gg.adj[v] if u > v]
     if not cand:
         return 1
-    g, ids = gg.induce_local(set(cand) | {v})
-    pos = {u: i for i, u in enumerate(ids)}
-    within = mask_of(pos[u] for u in cand)
+    task = gg.task([v], cand)
     # v is adjacent to every candidate, so clique(v-ego)+1
-    best = max_clique(g, within & g.adj[pos[v]])
+    best = max_clique(task.graph, task.ext_mask)
     return best.bit_count() + 1
 
 

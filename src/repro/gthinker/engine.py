@@ -5,8 +5,10 @@ As in G-thinker, every task runs through one compute loop
 sorts them biggest first (big-task prioritization) and hands them to a
 *stage executor*; inside it :func:`_mine_rows` is the only code that runs
 tasks (:func:`repro.gthinker.tasks.run_task`). It pulls task rows from a
-queue, builds each root task where it runs, mines it, and pushes the
-subtasks a τ_time timeout or a τ_split split creates back to the queue.
+queue, builds each task where it runs (a root task or a subtask, through
+the one builder in :mod:`repro.graphs.global_graph`), mines it, and
+pushes the subtasks a τ_time timeout or a τ_split split creates back to
+the queue.
 A job is one stage; it leaves one :class:`StageStats` in
 ``JobResult.stage``, and the INFO log line of the job renders it.
 
@@ -180,33 +182,6 @@ def spawn_all(gg: GlobalGraph, gamma, tau_size: int, quick_plus: bool = True):
     return pruned, rows
 
 
-def _merge_outcome(job: JobResult, outcome) -> list:
-    job.results.update(outcome.results)
-    job.mine_time += outcome.mine_time
-    job.materialize_time += outcome.materialize_time
-    job.stats.merge(outcome.stats)
-    return outcome.subtasks
-
-
-def _run_subtask(pruned: GlobalGraph, s_set, ext_set, gamma, tau_size, **kw):
-    """Re-materialize a child task's subgraph (counted as
-    materialization time) and run it."""
-    t0 = time.perf_counter()
-    verts = set(s_set) | set(ext_set)
-    g, ids = pruned.induce_local(verts)
-    pos = {u: i for i, u in enumerate(ids)}
-    s_mask = 0
-    for u in s_set:
-        s_mask |= 1 << pos[u]
-    ext_mask = 0
-    for u in ext_set:
-        ext_mask |= 1 << pos[u]
-    mat = time.perf_counter() - t0
-    out = run_task(g, ids, s_mask, ext_mask, gamma, tau_size, **kw)
-    out.materialize_time += mat
-    return out
-
-
 def _features_row(task, outcome, elapsed: float) -> dict:
     """Per-task subgraph features of Tables 1–2."""
     g = task.graph
@@ -239,14 +214,17 @@ def _mine_rows(
     ``(S, ext)`` subtasks each one creates back to ``queue`` at once.
     Returns the candidates found, a stats dict and the feature rows.
 
-    Root rows carry only the spawn vertex id; the ego-net task subgraph
-    is built here from ``g_all`` (counted as materialization, like
-    G-thinker's frontier pulls)."""
+    Every row takes one path: build its task from ``g_all``, then
+    :func:`run_task`. A root row carries only the spawn vertex id, and
+    :meth:`GlobalGraph.spawn_task` builds its ego-net task; a subtask
+    row's task comes from :meth:`GlobalGraph.task`. Either build counts
+    as materialization, like G-thinker's frontier pulls."""
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
-    acc = JobResult()  # accumulates this partition's outcomes
+    results: set = set()
+    stats = MineStats()
     feat_rows = []
-    n_rows = n_pulls = 0
-    wait = 0.0
+    n_rows = n_roots = n_pulls = 0
+    wait = mine = mat = 0.0
     while True:
         t0 = time.perf_counter()
         rows = queue.pull()
@@ -257,25 +235,26 @@ def _mine_rows(
         n_rows += len(rows)
         for kind, s_ids, e_ids in rows:
             t_task0 = time.perf_counter()
-            if kind == ROOT:
-                task = g_all.spawn_task(s_ids[0], rank, alive, gamma, tau_size)
-                acc.materialize_time += time.perf_counter() - t_task0
-                if task is None:
-                    continue
-                acc.n_root_tasks += 1
-                out = run_task(task.graph, task.ids, task.s_mask, task.ext_mask,
-                               gamma, tau_size, **kw)
+            task = (g_all.spawn_task(s_ids[0], rank, alive, gamma, tau_size) if kind == ROOT
+                    else g_all.task(s_ids, e_ids))
+            mat += time.perf_counter() - t_task0
+            if task is None:
+                continue  # the root task pruned away
+            out = run_task(task.graph, task.ids, task.s_mask, task.ext_mask,
+                           gamma, tau_size, **kw)
+            if task.root is not None:
+                n_roots += 1
                 if collect_task_features:
                     feat_rows.append(_features_row(task, out, time.perf_counter() - t_task0))
-            else:
-                out = _run_subtask(g_all, s_ids, e_ids, gamma, tau_size, **kw)
-            subs = _merge_outcome(acc, out)
-            if subs:
-                queue.push(subs)
-    stat = {"rows": n_rows, "roots": acc.n_root_tasks, "pulls": n_pulls,
-            "wait": wait, "mine": acc.mine_time,
-            "mat": acc.materialize_time, "filter": 0.0, "stats": acc.stats.__dict__}
-    return acc.results, stat, feat_rows
+            results.update(out.results)
+            mine += out.mine_time
+            mat += out.materialize_time
+            stats.merge(out.stats)
+            if out.subtasks:
+                queue.push(out.subtasks)
+    stat = {"rows": n_rows, "roots": n_roots, "pulls": n_pulls, "wait": wait,
+            "mine": mine, "mat": mat, "filter": 0.0, "stats": stats.__dict__}
+    return results, stat, feat_rows
 
 
 def _mine_and_filter(mine, graph, queue) -> tuple[set, dict, list]:

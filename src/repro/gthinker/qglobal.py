@@ -295,10 +295,13 @@ def run_stage(spark, parallelism: int | None, payload, rows: list, body) -> list
     dealt in the order given. Partition j runs ``body(payload, its
     Client)``, ``payload`` being broadcast, then :func:`_drop_zip_finders`.
     Returns ``(body's value, wall seconds)`` per partition, in partition
-    order. Refuses ``spark.speculation`` (read from ``spark.conf``) before
-    broadcasting; raises ``RuntimeError`` if a partition lost its
-    connection while it held rows. The broadcast is unpersisted and the
-    server closed however the stage ends."""
+    order. Refuses ``parallelism < 1`` (``None`` means the default) and
+    ``spark.speculation`` (read from ``spark.conf``) before broadcasting;
+    raises ``RuntimeError`` if a partition lost its connection while it
+    held rows. The broadcast is unpersisted and the server closed however
+    the stage ends."""
+    if parallelism is not None and parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1 or None, got {parallelism}")
     if spark.conf.get("spark.speculation", "false").lower() == "true":
         raise ValueError("a Q_global stage cannot run with spark.speculation on: a killed "
                          "speculative attempt would take the task rows it holds with it")

@@ -1,13 +1,16 @@
 """Task-level execution shared by the serial and Spark engines.
 
 A *task* is ⟨S, ext(S)⟩ plus the compact subgraph induced by S ∪ ext(S)
-(Section 3). ``run_task`` executes one task under one of the paper's
-three strategies and reports results, child subtasks (in global ids),
-mining time and subgraph-materialization time — the two quantities
-Tables 12–14 compare.
+(Section 3), as :meth:`repro.graphs.global_graph.GlobalGraph.task` or
+``spawn_task`` builds it. ``run_task`` mines one task with one call of
+:meth:`repro.core.quickplus.Miner.mine`; the paper's three strategies
+differ only in its deadline. It reports results, child subtasks (in
+global ids), mining time and subgraph-materialization time — the two
+quantities Tables 12–14 compare.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -52,25 +55,24 @@ def run_task(
     ``strategy``:
       * ``base``  — Algorithm 3 in full (no decomposition).
       * ``split`` — Algorithm 8: decompose one level iff
-        |ext(S)| > τ_split, else mine serially.
+        |ext(S)| > τ_split (a deadline already past), else mine serially.
       * ``time``  — Algorithms 9/10: mine with a τ_time budget; on
         timeout every surviving branch becomes a subtask.
 
+    Raises ``ValueError`` for any other strategy.
+
     ``quick_plus=False`` mines with Quick (Table 15).
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     miner = Miner(g=graph, gamma=gamma, tau_size=tau_size, quick_plus=quick_plus)
     t0 = time.perf_counter()
-    if strategy == "base":
-        miner.recursive_mine(s_mask, ext_mask)
-    elif strategy == "split":
-        if ext_mask.bit_count() > tau_split:
-            miner.split_level(s_mask, ext_mask)
-        else:
-            miner.recursive_mine(s_mask, ext_mask)
-    elif strategy == "time":
-        miner.time_delayed(s_mask, ext_mask, deadline=t0 + tau_time)
-    else:  # pragma: no cover - guarded by callers
-        raise ValueError(f"unknown strategy {strategy!r}")
+    deadline = None  # base, and split at |ext(S)| ≤ τ_split: mine it all
+    if strategy == "time":
+        deadline = t0 + tau_time
+    elif strategy == "split" and ext_mask.bit_count() > tau_split:
+        deadline = -math.inf  # already past: wrap every top-level branch
+    miner.mine(s_mask, ext_mask, deadline)
     mine_time = time.perf_counter() - t0
 
     # Translating child (S, ext) masks back to global ids is part of the

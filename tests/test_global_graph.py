@@ -135,6 +135,8 @@ class TestSpawnTask:
             spawned += 1
             two_hop = pruned.two_hop(v, alive)
             assert t.root == v
+            assert t.ids[0] == v and t.s_mask == 1  # the root is compact id 0
+            assert [rank[u] for u in t.ids] == sorted(rank[u] for u in t.ids)
             for gid in t.ids:
                 assert gid == v or rank[gid] > rank[v]
                 assert gid in two_hop
@@ -146,8 +148,14 @@ class TestSpawnTask:
         assert spawned > 0
 
     def test_induce_local_roundtrip(self, gg):
-        verts = set(list(gg.adj[5])[:3]) | {5}
-        g, ids = gg.induce_local(verts)
+        """GlobalGraph.task: compact ids in ascending global id, S/ext
+        masks over them, and the induced adjacency."""
+        ext = set(list(gg.adj[5])[:3])
+        t = gg.task({5}, ext)
+        g, ids = t.graph, t.ids
+        assert ids == sorted(ext | {5}) and t.root is None
+        assert t.s_mask == 1 << ids.index(5)
+        assert t.ext_mask == sum(1 << ids.index(u) for u in ext)
         for i, u in enumerate(ids):
             for j, w in enumerate(ids):
                 assert bool(g.adj[i] >> j & 1) == (w in gg.adj[u])

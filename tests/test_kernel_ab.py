@@ -1,6 +1,7 @@
 """The kernel A/B tool (tools/kernel_ab.py), run on the repo against itself."""
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,15 +21,20 @@ def kernel_ab():
 
 
 def test_repo_against_itself(kernel_ab, capsys):
-    kernel_ab.main([str(SRC), str(SRC), "--dataset", "CX_GSE1730"])
+    kernel_ab.main([str(SRC), str(SRC), "--dataset", "CX_GSE1730", "--passes", "2"])
     out = json.loads(capsys.readouterr().out)
-    assert out["dataset"] == "CX_GSE1730" and out["tasks"] == 14 and out["passes"] == 1
+    assert out["dataset"] == "CX_GSE1730" and out["tasks"] == 14 and out["passes"] == 2
     for side in ("a", "b"):
         assert set(out[side]) == set(kernel_ab.PHASES)
         assert out[side]["mine_s"] > 0
         assert all(v >= 0 for v in out[side].values())
         assert out[side]["bounds_s"] < out[side]["mine_s"]
     assert all(r > 0 for r in out["ratio_b_over_a"].values())
+    ratios = out["pass_mine_ratio_b_over_a"]
+    assert len(ratios) == 2 and all(r > 0 for r in ratios)
+    q1, median, q3 = out["pass_mine_ratio_quartiles"]
+    assert min(ratios) <= q1 <= median <= q3 <= max(ratios)
+    assert math.isclose(median, sum(ratios) / 2)
 
 
 def test_different_result_sets_refused(kernel_ab, tmp_path):

@@ -268,8 +268,8 @@ class StubSession:
 
 K5 = GlobalGraph.from_edges([(u, v) for u in range(5) for v in range(u + 1, 5)])
 STAGES = {  # every caller of run_stage, on a graph with rows to run
-    "run_spark": lambda spark: run_spark(spark, K5, 0.9, 3, strategy="base", parallelism=2),
-    "run_app_spark": lambda spark: run_app_spark(spark, K5, "tc", parallelism=2),
+    "run_spark": lambda spark, n=2: run_spark(spark, K5, 0.9, 3, strategy="base", parallelism=n),
+    "run_app_spark": lambda spark, n=2: run_app_spark(spark, K5, "tc", parallelism=n),
 }
 
 
@@ -287,4 +287,13 @@ def test_speculation_refused_before_broadcast(caller):
     spark = StubSession(**{"spark.speculation": "true"})
     with pytest.raises(ValueError, match="spark.speculation"):
         STAGES[caller](spark)
+    assert spark.broadcasts == []
+
+
+@pytest.mark.parametrize("parallelism", [0, -1])
+@pytest.mark.parametrize("caller", STAGES)
+def test_parallelism_below_one_refused_before_broadcast(caller, parallelism):
+    spark = StubSession()
+    with pytest.raises(ValueError, match=f"parallelism must be >= 1 or None, got {parallelism}"):
+        STAGES[caller](spark, parallelism)
     assert spark.broadcasts == []

@@ -16,7 +16,9 @@ processes on a shared host see.
 
 Prints one JSON object: for each side the sums of the mining time and
 of the bounds, critical, cover and lookahead phase timers, and the ratio
-B / A of each sum.
+B / A of each sum. It also prints the B / A mining-time ratio of each
+pass and the quartiles of those ratios (q1, median, q3): their spread
+shows how far one pass, or one run, can be trusted.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ import argparse
 import importlib
 import json
 import shutil
+import statistics
 import sys
 import tempfile
 from pathlib import Path
@@ -71,6 +74,7 @@ def _interleave(sides, dataset: str, passes: int) -> dict:
     if roots != [t.root for t in spawned[1]]:
         raise AssertionError(f"{dataset}: the two sides spawn different root tasks")
     sums = [dict.fromkeys(PHASES, 0.0) for _ in sides]
+    pass_mine = [[0.0] * passes for _ in sides]
     for p in range(passes):
         for i, root in enumerate(roots):
             found = [None, None]
@@ -79,15 +83,21 @@ def _interleave(sides, dataset: str, passes: int) -> dict:
                 out = sides[side][2].run_task(t.graph, t.ids, t.s_mask, t.ext_mask,
                                               spec.gamma, spec.tau_size, strategy="base")
                 found[side] = set(out.results)
+                pass_mine[side][p] += out.mine_time
                 for key, attr in PHASES.items():
                     sums[side][key] += out.mine_time if attr is None else getattr(out.stats, attr)
             if found[0] != found[1]:
                 raise AssertionError(f"{dataset}: root {root} gives different result sets")
+    pass_ratios = [b / a for a, b in zip(*pass_mine) if a]
     return {
         "dataset": dataset, "tasks": len(roots), "passes": passes,
         "a": sums[0], "b": sums[1],
         "ratio_b_over_a": {key: sums[1][key] / sums[0][key] if sums[0][key] else None
                            for key in PHASES},
+        "pass_mine_ratio_b_over_a": pass_ratios,
+        "pass_mine_ratio_quartiles": (
+            statistics.quantiles(pass_ratios, n=4, method="inclusive")
+            if len(pass_ratios) > 1 else pass_ratios * 3),
     }
 
 
