@@ -49,7 +49,7 @@ def _expand_kernel(gg: GlobalGraph, kernel: frozenset[int], gam, tau_size):
     scope: set[int] = set()
     for v in kernel:
         scope |= gg.two_hop(v)
-    task = gg.task(kernel, {v for v in scope - kernel if len(gg.adj[v]) >= k})
+    task = gg.task(kernel, {v for v in scope - kernel if gg.degree(v) >= k})
     miner = Miner(g=task.graph, gamma=gam, tau_size=tau_size)
     s_mask, ext_mask = task.s_mask, task.ext_mask
     pruned = False

@@ -31,11 +31,12 @@ class AppResult:
 # ------------------------------------------------------------ kernels
 def _triangles_at(gg: GlobalGraph, v: int) -> int:
     """#{triangles whose smallest vertex is v}."""
+    adj = gg.adj
     total = 0
-    nbrs = [u for u in gg.adj[v] if u > v]
+    nbrs = [u for u in adj[v] if u > v]
     nbr_set = set(nbrs)
     for u in nbrs:
-        total += sum(1 for w in gg.adj[u] if w > u and w in nbr_set)
+        total += sum(1 for w in adj[u] if w > u and w in nbr_set)
     return total
 
 
@@ -53,12 +54,13 @@ def _max_clique_at(gg: GlobalGraph, v: int) -> int:
 def _squares_at(gg: GlobalGraph, v: int) -> int:
     """#{4-cycles a-b-c-d whose smallest vertex is v}: choose neighbours
     b < d of v, count common neighbours c > v distinct from v."""
-    nbrs = sorted(u for u in gg.adj[v] if u > v)
+    adj = gg.adj
+    nbrs = [u for u in adj[v] if u > v]  # ascending: adj[v] is sorted
     total = 0
     for i, b in enumerate(nbrs):
+        nb = set(adj[b])
         for d in nbrs[i + 1:]:
-            common = gg.adj[b] & gg.adj[d]
-            total += sum(1 for c in common if c > v and c != v)
+            total += sum(1 for c in nb.intersection(adj[d]) if c > v)
     return total
 
 
@@ -74,7 +76,7 @@ _APP_COMBINE = {"tc": sum, "mcf": max, "gm": sum}
 def run_app_serial(gg: GlobalGraph, app: str) -> AppResult:
     kernel, combine = _APP_KERNELS[app], _APP_COMBINE[app]
     t0 = time.perf_counter()
-    verts = [v for v in range(gg.n) if gg.adj[v]]
+    verts = gg.vertices()
     vals = [kernel(gg, v) for v in verts]
     value = combine(vals) if vals else 0
     return AppResult(value=int(value), job_time=time.perf_counter() - t0,
@@ -93,11 +95,11 @@ def run_app_spark(
     values of the vertex ids it pulls, if any."""
     kernel, combine = _APP_KERNELS[app], _APP_COMBINE[app]
     t0 = time.perf_counter()
-    verts = [v for v in range(gg.n) if gg.adj[v]]
+    verts = gg.vertices()
     if not verts:
         return AppResult(0, time.perf_counter() - t0, 0)
     if prioritize_big:
-        verts.sort(key=lambda v: -len(gg.adj[v]))
+        verts.sort(key=lambda v: -gg.degree(v))
 
     def work(g_all: GlobalGraph, queue) -> list[int]:
         vals = []

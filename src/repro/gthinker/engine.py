@@ -113,6 +113,9 @@ class JobResult:
     postprocess_time: float = 0.0
     worker_filter_time: float = 0.0  # sum of per-partition filter time
     n_root_tasks: int = 0  # root tasks built (a spawn row's task may prune away)
+    # the pruned graph's size (Table 3(b)): vertices with an edge, and edges
+    n_pruned_vertices: int = 0
+    n_pruned_edges: int = 0
     stage: StageStats | None = None
     stats: MineStats = field(default_factory=MineStats)
     task_features: pd.DataFrame | None = None  # Tables 1–2 per-task rows
@@ -167,15 +170,16 @@ def spawn_all(gg: GlobalGraph, gamma, tau_size: int, quick_plus: bool = True):
     if tau_size < 2:
         raise ValueError(f"tau_size must be >= 2, got {tau_size}")
     pruned = gg.pruned_subgraph(gam, tau_size)
-    alive = {v for v in range(pruned.n) if pruned.adj[v]}
+    alive = set(pruned.vertices())
     rank, skip = pruned.mining_order(alive, quick_plus)
     pruned.order = alive, rank
     k = gam.ceil_mul(tau_size - 1)
+    adj = pruned.adj
     rows = []
     for v in sorted(alive, key=rank.__getitem__):
         if v in skip:
             continue  # (P7) degenerate rule: subsets of N(v_max) cannot be maximal
-        nbrs = pruned.adj[v] & alive
+        nbrs = adj[v]  # all alive: alive is every vertex with an edge
         if len(nbrs) >= k:
             rv = rank[v]
             rows.append((v, sum(rank[u] > rv for u in nbrs)))
@@ -300,6 +304,7 @@ def _task_loop(gg: GlobalGraph, gamma, tau_size: int, executor, *, strategy: str
     pruned, spawned = spawn_all(gg, gamma, tau_size, quick_plus)
     job.spawn_time = time.perf_counter() - t_start
     alive, rank = pruned.order
+    job.n_pruned_vertices, job.n_pruned_edges = len(alive), pruned.num_edges()
     mine = partial(_mine_rows, gamma=make_gamma(gamma), tau_size=tau_size, strategy=strategy,
                    quick_plus=quick_plus, collect_task_features=collect_task_features, **kw)
     feats = []

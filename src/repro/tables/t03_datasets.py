@@ -17,7 +17,7 @@ def run(spark=None) -> tuple[pd.DataFrame, pd.DataFrame]:
     raw_rows, pruned_rows = [], []
     for name, spec in DATASETS.items():
         gg, _ = cached_dataset(name)
-        degs = [len(a) for a in gg.adj if a]
+        degs = [gg.degree(v) for v in gg.vertices()]
         nv, ne = len(degs), gg.num_edges()
         raw_rows.append({
             "Data": name, "V": nv, "E": ne,
@@ -27,7 +27,7 @@ def run(spark=None) -> tuple[pd.DataFrame, pd.DataFrame]:
         gam = make_gamma(spec.gamma)
         k = gam.ceil_mul(spec.tau_size - 1)
         pruned = gg.pruned_subgraph(gam, spec.tau_size)
-        pdegs = [len(a) for a in pruned.adj if a]
+        pdegs = [pruned.degree(v) for v in pruned.vertices()]
         pnv, pne = len(pdegs), pruned.num_edges()
         pruned_rows.append({
             "Data": name, "Tsize": spec.tau_size, "gamma": spec.gamma, "k": k,

@@ -53,7 +53,7 @@ class TestSpawnAll:
         alive, rank = pruned.order
         assert [rank[v] for v, _ in rows] == sorted(rank[v] for v, _ in rows)
         for v, cost in rows:
-            assert cost == sum(rank[u] > rank[v] for u in pruned.adj[v] & alive)
+            assert cost == sum(rank[u] > rank[v] for u in alive.intersection(pruned.adj[v]))
         assert {t.root for t in built_roots(comm_gg, 0.85, 8)} <= {v for v, _ in rows}
         job = run_serial(comm_gg, 0.85, 8)
         assert job.n_root_tasks == len(built_roots(comm_gg, 0.85, 8)) < len(rows)

@@ -8,7 +8,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.bitset import bits
 from repro.core.brute import brute_force_maximal
 from repro.core.gamma import make_gamma
 from repro.core.graph import LocalGraph
@@ -30,7 +29,7 @@ def make_case(seed):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     gamma = rng.choice([0.6, 0.8, 0.9])
     g = LocalGraph.from_edges(n, edges)
-    gg = GlobalGraph(n, [set(bits(g.adj[v])) for v in range(n)])
+    gg = GlobalGraph.from_edges(edges)
     return g, gg, gamma, 3
 
 
@@ -195,8 +194,14 @@ class TestSparkEngine:
         assert rec["stats"] == asdict(job.stats)
         assert rec["job_time"] == job.job_time
         assert 0 < rec["spawn_time"] == job.spawn_time < job.job_time
-        for name in ("n_root_tasks", "n_subtasks", "n_rounds", "n_results", "n_maximal"):
+        for name in ("n_root_tasks", "n_subtasks", "n_rounds", "n_results", "n_maximal",
+                     "n_pruned_vertices", "n_pruned_edges"):
             assert rec[name] == getattr(job, name)
+        # Table 3(b)'s columns: the pruned graph's vertices with an edge, and edges
+        keep = comm_gg.pruned_vertices(0.85, 9)
+        assert rec["n_pruned_vertices"] == len(keep) > 0
+        assert rec["n_pruned_edges"] == sum(
+            len(keep.intersection(comm_gg.adj[v])) for v in keep) // 2 > 0
         assert not {"results", "maximal", "task_features"} & rec.keys()
         r = rec["stage"]
         assert len(r["part_mat_s"]) == len(r["part_filter_s"]) == len(r["part_rows"])

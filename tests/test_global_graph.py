@@ -4,12 +4,13 @@ import random
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.bitset import bits
 from repro.core.gamma import make_gamma
 from repro.graphs.generators import edges_pdf, er_graph, planted_community_graph
 from repro.graphs.global_graph import GlobalGraph
-from repro.gthinker.engine import run_serial
+from repro.gthinker.engine import run_serial, spawn_all
 
 
 @pytest.fixture()
@@ -24,19 +25,19 @@ class TestBuild:
         pairs = [(0, 1), (1, 2), (2, 0), (2, 3)]
         g1 = GlobalGraph.from_edges(pairs)
         g2 = GlobalGraph.from_edges(pd.DataFrame(pairs, columns=["src", "dst"]))
-        assert g1.adj == g2.adj
+        assert list(g1.adj) == list(g2.adj)
 
     def test_roundtrip_edge_pdf(self, gg):
         back = GlobalGraph.from_edges(gg.to_edge_pdf())
-        assert back.adj == gg.adj
+        assert list(back.adj) == list(gg.adj)
 
     def test_self_loops_dropped(self):
         g = GlobalGraph.from_edges([(1, 1), (0, 1)])
-        assert g.adj[1] == {0}
+        assert set(g.adj[1]) == {0}
 
     def test_numpy_ids_accepted(self):
         pairs = [(np.int64(0), np.int32(1)), (np.int64(1), np.int64(2))]
-        assert GlobalGraph.from_edges(pairs).adj == [{1}, {0, 2}, {1}]
+        assert [set(a) for a in GlobalGraph.from_edges(pairs).adj] == [{1}, {0, 2}, {1}]
 
     @pytest.mark.parametrize("bad", [-1, 1.0, np.float64(2.0), "3"])
     def test_bad_ids_refused(self, bad):
@@ -44,6 +45,15 @@ class TestBuild:
         with pytest.raises(ValueError, match="vertex ids"):
             GlobalGraph.from_edges(pairs)
         with pytest.raises(ValueError, match="vertex ids"):
+            GlobalGraph.from_edges(pd.DataFrame(pairs, columns=["src", "dst"]))
+
+    @pytest.mark.parametrize("big", [2**31, np.int64(2**62)])
+    def test_ids_beyond_int32_refused(self, big):
+        """``indices`` holds int32 ids: a larger one is refused, not wrapped."""
+        pairs = [(0, 1), (1, big)]
+        with pytest.raises(ValueError, match=r"vertex ids must be < 2\*\*31"):
+            GlobalGraph.from_edges(pairs)
+        with pytest.raises(ValueError, match=r"vertex ids must be < 2\*\*31"):
             GlobalGraph.from_edges(pd.DataFrame(pairs, columns=["src", "dst"]))
 
     def test_negative_id_is_not_a_silent_wrong_answer(self):
@@ -59,15 +69,15 @@ class TestKCore:
     def test_kcore_degree_invariant(self, gg, k):
         core = gg.kcore_vertices(k)
         for v in core:
-            assert len(gg.adj[v] & core) >= k
+            assert len(core.intersection(gg.adj[v])) >= k
 
     def test_kcore_maximality(self, gg):
         # adding any removed vertex violates the invariant transitively:
         # check the standard fixpoint property instead — re-peeling the
         # core changes nothing.
         core = gg.kcore_vertices(3)
-        sub = GlobalGraph(gg.n, [gg.adj[v] & core if v in core else set()
-                                 for v in range(gg.n)])
+        sub = GlobalGraph.from_edges(
+            [(u, v) for u in core for v in core.intersection(gg.adj[u])])
         assert sub.kcore_vertices(3) == core
 
     def test_matches_local_graph_kcore(self, gg):
@@ -94,18 +104,18 @@ class TestPrune:
         keep = gg.pruned_vertices(0.9, 8)
         for v in range(gg.n):
             if v not in keep:
-                assert pruned.adj[v] == set()
+                assert set(pruned.adj[v]) == set()
             else:
-                assert pruned.adj[v] == gg.adj[v] & keep
+                assert set(pruned.adj[v]) == keep.intersection(gg.adj[v])
 
 
 class TestMiningOrder:
     def test_degenerate_order_puts_vmax_first(self, gg):
         alive = {v for v in range(gg.n) if gg.adj[v]}
         rank, skip = gg.mining_order(alive, quick_plus=True)
-        vmax = max(alive, key=lambda v: (len(gg.adj[v] & alive), -v))
+        vmax = max(alive, key=lambda v: (len(alive.intersection(gg.adj[v])), -v))
         assert rank[vmax] == 0
-        assert skip == gg.adj[vmax] & alive
+        assert skip == alive.intersection(gg.adj[vmax])
         # neighbours of vmax occupy the largest ranks
         tail = sorted(rank[v] for v in skip)
         assert tail == list(range(len(alive) - len(skip), len(alive)))
@@ -159,3 +169,106 @@ class TestSpawnTask:
         for i, u in enumerate(ids):
             for j, w in enumerate(ids):
                 assert bool(g.adj[i] >> j & 1) == (w in gg.adj[u])
+
+
+# ------------------------------------------- set-based reference
+def ref_adjacency(edges) -> list[set[int]]:
+    """Set adjacency of an edge list: self-loops dropped, n = 1 + the
+    largest id of an edge that is not a self-loop."""
+    adj: dict[int, set[int]] = {}
+    for u, v in edges:
+        if u != v:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+    return [adj.get(v, set()) for v in range(max(adj, default=-1) + 1)]
+
+
+def ref_kcore(adj, k) -> set[int]:
+    """Stack peel of the vertices with an edge."""
+    deg = {v: len(a) for v, a in enumerate(adj) if a}
+    stack = [v for v, d in deg.items() if d < k]
+    alive = set(deg)
+    while stack:
+        v = stack.pop()
+        if v not in alive or deg[v] >= k:
+            continue
+        alive.discard(v)
+        for w in adj[v] & alive:
+            deg[w] -= 1
+            if deg[w] < k:
+                stack.append(w)
+    return alive
+
+
+def ref_pruned(adj, gamma, tau) -> list[set[int]]:
+    """k-core, then keep the vertices with >= τ_size vertices within two
+    hops inside it; the kept vertices' edges among themselves."""
+    core = ref_kcore(adj, make_gamma(gamma).ceil_mul(tau - 1))
+    keep = set()
+    for v in core:
+        two_hop = {v} | (adj[v] & core)
+        for u in adj[v] & core:
+            two_hop |= adj[u] & core
+        if len(two_hop) >= tau:
+            keep.add(v)
+    return [adj[v] & keep if v in keep else set() for v in range(len(adj))]
+
+
+def ref_spawn_rows(adj, k, quick_plus):
+    """(alive, rank, rows) of spawn_all on a pruned set adjacency."""
+    alive = {v for v, a in enumerate(adj) if a}
+    deg = lambda v: len(adj[v] & alive)
+    if not alive:
+        return alive, {}, []
+    skip = set()
+    order = sorted(alive, key=lambda v: (deg(v), v))
+    if quick_plus:
+        vmax = max(alive, key=lambda v: (deg(v), -v))
+        skip = adj[vmax] & alive
+        order = ([vmax] + [v for v in order if v != vmax and v not in skip]
+                 + [v for v in order if v in skip])
+    rank = {v: i for i, v in enumerate(order)}
+    rows = [(v, sum(rank[u] > rank[v] for u in adj[v] & alive)) for v in order
+            if v not in skip and len(adj[v] & alive) >= k]
+    return alive, rank, rows
+
+
+@st.composite
+def messy_edge_lists(draw):
+    """Edge lists over sparse ids: two near-cliques, a path and random
+    edges, with repeats, both orientations and self-loops."""
+    ids = draw(st.lists(st.integers(0, 300), min_size=2, max_size=24, unique=True))
+    pairs = []
+    for _ in range(2):
+        dense = draw(st.lists(st.sampled_from(ids), max_size=10, unique=True))
+        pairs += [(u, v) for i, u in enumerate(dense) for v in dense[i + 1:]]
+    gone = draw(st.sets(st.integers(0, len(pairs)), max_size=len(pairs) // 4))
+    pairs = [e for i, e in enumerate(pairs) if i not in gone]
+    chain = draw(st.lists(st.sampled_from(ids), max_size=12, unique=True))
+    pairs += zip(chain, chain[1:])  # a path peels over many rounds
+    pairs += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                           max_size=60))
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else []
+    return pairs + [(v, u) for u, v in extra] + [(u, u) for u, _ in extra[:4]]
+
+
+class TestSetReference:
+    @given(messy_edge_lists(), st.sampled_from([0.5, 0.6, 0.75, 0.9, 1.0]),
+           st.integers(2, 6), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_csr_preprocess_and_spawn_match_sets(self, edges, gamma, tau, quick_plus):
+        """CSR from_edges -> pruned_subgraph -> spawn_all keeps the same
+        vertices, neighbour sets and spawn rows as the set-based code."""
+        adj = ref_adjacency(edges)
+        gg = GlobalGraph.from_edges(edges)
+        assert [set(a) for a in gg.adj] == adj
+        assert all(list(a) == sorted(a) for a in gg.adj)
+        k = make_gamma(gamma).ceil_mul(tau - 1)
+        assert gg.kcore_vertices(k) == ref_kcore(adj, k)
+        want = ref_pruned(adj, gamma, tau)
+        assert gg.pruned_vertices(gamma, tau) == {v for v, a in enumerate(want) if a}
+        pruned, rows = spawn_all(gg, gamma, tau, quick_plus)
+        assert [set(a) for a in pruned.adj] == want
+        alive, rank, want_rows = ref_spawn_rows(want, k, quick_plus)
+        assert pruned.order == (alive, rank)
+        assert rows == want_rows

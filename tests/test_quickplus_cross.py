@@ -8,7 +8,6 @@ import random
 
 import pytest
 
-from repro.core.bitset import bits
 from repro.core.brute import brute_force_maximal
 from repro.core.graph import LocalGraph
 from repro.graphs.global_graph import GlobalGraph
@@ -23,7 +22,7 @@ def make_case(seed):
     gamma = rng.choice([0.5, 0.6, 0.7, 0.8, 0.9])
     tau = rng.choice([3, 4, 5])
     g = LocalGraph.from_edges(n, edges)
-    gg = GlobalGraph(n, [set(bits(g.adj[v])) for v in range(n)])
+    gg = GlobalGraph.from_edges(edges)
     return g, gg, gamma, tau
 
 
@@ -89,12 +88,12 @@ def test_quick_original_misses_results_somewhere():
 def test_clique_input(gamma, tau):
     n = 6
     g = LocalGraph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
-    gg = GlobalGraph(n, [set(bits(g.adj[v])) for v in range(n)])
+    gg = GlobalGraph.from_edges(g.edges())
     job = run_serial(gg, gamma, tau, strategy="base")
     assert job.maximal == {frozenset(range(n))}
 
 
 def test_empty_graph():
-    gg = GlobalGraph(5, [set() for _ in range(5)])
+    gg = GlobalGraph.from_edges([])
     job = run_serial(gg, 0.9, 3, strategy="base")
     assert job.maximal == set() and job.n_root_tasks == 0
