@@ -1,25 +1,28 @@
 """Whole-input-graph representation and task-subgraph construction.
 
-:class:`GlobalGraph` is the driver/broadcast-side view of the input
-graph, the analogue of G-thinker's vertex table: CSR adjacency over
-global vertex ids, two flat stdlib arrays. ``indptr`` (``array('q')``,
-n + 1 entries) and ``indices`` (``array('i')``) hold vertex v's sorted
+:class:`GlobalGraph` is the driver/broadcast-side view of a graph, the
+analogue of G-thinker's vertex table: CSR adjacency over vertex ids
+0..n-1, two flat stdlib arrays. ``indptr`` (``array('q')``, n + 1
+entries) and ``indices`` (``array('i')``) hold vertex v's sorted
 neighbours at ``indices[indptr[v]:indptr[v + 1]]``, so a vertex costs
 8 B of ``indptr`` plus 4 B per adjacency entry, an unused id included.
-The arrays are stdlib ``array``s, not numpy ones, so a pickled graph
-unpickles on a Spark worker without importing numpy; the driver-side
-steps (build, (P2) k-core, the two prunes) import numpy where they run
-and view the arrays through ``np.frombuffer``.
+``labels[v]`` is vertex v's input id: the identity (a ``range``) on an
+input graph, an ``array('i')`` on a graph :meth:`GlobalGraph.subgraph`
+recoded. The arrays are stdlib ``array``s, not numpy ones, so a pickled
+graph unpickles on a Spark worker without importing numpy; the
+driver-side steps (build, (P2) k-core, the prune, recoding) import numpy
+where they run and view the arrays through ``np.frombuffer``.
 
 It implements the preprocessing the paper applies before mining —
 (P2) k-core shrink, the two-hop-size prune of Section 8, and the (P7)
-degenerate cover-vertex vertex ordering — plus the one builder of
-compact task graphs, :meth:`GlobalGraph.local_graph`. Every ⟨S, ext⟩
-becomes a :class:`Task` through it: a root task from ``spawn_task``
-(the k-core of the 2-hop ego network restricted to higher-ordered
-vertices, Algorithms 4–7 collapsed into one local step since the whole
-pruned graph is available via broadcast), and any other task from
-``task``.
+degenerate cover-vertex mining order, which ``engine.spawn_all`` makes
+the pruned graph's vertex ids (Section 7's ID recoding) — plus the one
+builder of compact task graphs, :meth:`GlobalGraph.local_graph`. Every
+⟨S, ext⟩ becomes a :class:`Task` through it: a root task from
+``spawn_task`` (the k-core of the 2-hop ego network restricted to
+higher ids, Algorithms 4–7 collapsed into one local step since the
+whole pruned graph is available via broadcast), and any other task
+from ``task``.
 """
 from __future__ import annotations
 
@@ -41,10 +44,10 @@ class Task:
     """⟨S, ext⟩ as compact subgraph + id map + (S, ext) masks."""
 
     graph: LocalGraph  # compact ids 0..k-1
-    ids: list[int]  # compact -> global id
+    ids: list[int]  # compact -> id in the GlobalGraph that built the task
     s_mask: int
     ext_mask: int
-    root: int | None = None  # the spawn vertex's global id, for a root task
+    root: int | None = None  # the spawn vertex's id, for a root task
 
 
 class Neighbours:
@@ -68,24 +71,27 @@ class Neighbours:
         return (idx[p[v]:p[v + 1]] for v in range(len(p) - 1))
 
 
-def _csr_arrays(indptr, indices) -> tuple[array, array]:
-    """numpy CSR -> the stdlib arrays a :class:`GlobalGraph` holds."""
+def _csr(src, dst, n: int) -> tuple[array, array]:
+    """The stdlib CSR arrays of the directed entries ``(src[i], dst[i])``,
+    numpy int64 arrays of ids 0..n-1: each entry once, neighbours sorted."""
     import numpy as np
 
-    return (array("q", indptr.astype(np.int64).tobytes()),
-            array("i", indices.astype(np.int32).tobytes()))
+    # one key per entry, sorted: by source, then neighbour
+    src, dst = np.divmod(np.unique(src * n + dst), max(n, 1))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return array("q", indptr.tobytes()), array("i", dst.astype(np.int32).tobytes())
 
 
 class GlobalGraph:
-    """Undirected simple graph over global ids 0..n-1, CSR adjacency."""
+    """Undirected simple graph over ids 0..n-1, CSR adjacency; ``labels``
+    maps each id to its input id."""
 
-    def __init__(self, indptr: array, indices: array):
+    def __init__(self, indptr: array, indices: array, labels: array | range | None = None):
         self.indptr = indptr
         self.indices = indices
         self.n = len(indptr) - 1
-        # (alive vertices, rank) of the mining order: ``engine.spawn_all``
-        # records it on the pruned graph it returns, for the task loop
-        self.order: tuple[set[int], dict[int, int]] | None = None
+        self.labels = range(self.n) if labels is None else labels
 
     @property
     def adj(self) -> Neighbours:
@@ -116,11 +122,7 @@ class GlobalGraph:
         ends = ends[ends[:, 0] != ends[:, 1]]
         n = int(ends.max()) + 1 if ends.size else 0
         u, v = ends[:, 0], ends[:, 1]
-        # one key per directed entry, sorted: by source, then neighbour
-        src, dst = np.divmod(np.unique(np.concatenate([u * n + v, v * n + u])), max(n, 1))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(*_csr_arrays(indptr, dst))
+        return cls(*_csr(np.concatenate([u, v]), np.concatenate([v, u]), n))
 
     def _np(self):
         """numpy views of (indptr, indices); no copy."""
@@ -129,16 +131,35 @@ class GlobalGraph:
         return (np.frombuffer(self.indptr, dtype=np.int64),
                 np.frombuffer(self.indices, dtype=np.int32))
 
-    def to_edge_pdf(self) -> pd.DataFrame:
-        """Canonical src < dst edge table (for Spark/DuckDB checks)."""
+    def _entries(self):
+        """numpy int64 (source, neighbour) of every adjacency entry."""
         import numpy as np
-        import pandas as pd
 
         indptr, indices = self._np()
         src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
-        dst = indices.astype(np.int64)
+        return src, indices.astype(np.int64)
+
+    def to_edge_pdf(self) -> pd.DataFrame:
+        """Canonical src < dst edge table (for Spark/DuckDB checks)."""
+        import pandas as pd
+
+        src, dst = self._entries()
         up = src < dst
         return pd.DataFrame({"src": src[up], "dst": dst[up]})
+
+    def subgraph(self, ids: list[int]) -> "GlobalGraph":
+        """The subgraph induced by ``ids`` (distinct ids of this graph),
+        recoded: its vertex i is ``ids[i]`` here, and its ``labels[i]``
+        is ``self.labels[ids[i]]``."""
+        import numpy as np
+
+        new = np.full(self.n, -1, dtype=np.int64)
+        new[ids] = np.arange(len(ids))
+        src, dst = (new[e] for e in self._entries())
+        inside = (src >= 0) & (dst >= 0)
+        labels = self.labels
+        return GlobalGraph(*_csr(src[inside], dst[inside], len(ids)),
+                           array("i", [labels[v] for v in ids]))
 
     def degree(self, v: int) -> int:
         return self.indptr[v + 1] - self.indptr[v]
@@ -174,95 +195,50 @@ class GlobalGraph:
             drop = nbrs[alive[nbrs] & (deg[nbrs] < k)]
         return alive
 
-    def _induced(self, keep) -> tuple:
-        """numpy CSR (indptr, indices) of the edges among the ``keep``
-        mask's vertices, over the same id space."""
-        import numpy as np
-
-        indptr, indices = self._np()
-        src = np.repeat(np.arange(self.n), np.diff(indptr))
-        inside = keep[src] & keep[indices]
-        sub = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src[inside], minlength=self.n), out=sub[1:])
-        return sub, indices[inside]
-
-    def kcore_vertices(self, k: int) -> set[int]:
-        """Peeling k-core over the whole graph (P2 preprocessing)."""
-        import numpy as np
-
-        return set(np.flatnonzero(self._kcore_mask(k)).tolist())
-
-    def two_hop(self, v: int, within: set[int] | None = None) -> set[int]:
-        """N_2^+(v): v plus everything within 2 hops (restricted)."""
-        if within is not None and v not in within:
-            return set()
+    def two_hop(self, v: int) -> set[int]:
+        """N_2^+(v): v plus everything within 2 hops."""
         p, idx = self.indptr, self.indices  # adj[u] inlined: this runs per root task
-        n1 = idx[p[v]:p[v + 1]]
-        out = set(n1) if within is None else within.intersection(n1)
+        out = set(idx[p[v]:p[v + 1]])
         for u in list(out):
             out.update(idx[p[u]:p[u + 1]])
-        if within is not None:
-            out &= within
         out.add(v)
         return out
 
-    def _pruned_mask(self, gamma: Gamma | float, tau_size: int):
-        """numpy mask of :meth:`pruned_vertices`. Sets are built for the
-        k-core's vertices alone, holding their neighbours in it."""
+    def pruned_subgraph(self, gamma: Gamma | float, tau_size: int) -> "GlobalGraph":
+        """Section 8 preprocessing, the pruned graph of Table 3(b): the
+        k-core with k = ceil(γ(τ_size-1)), less the vertices whose
+        two-hop neighbourhood in it is < τ_size, recoded by
+        :meth:`subgraph` in ascending id. Sets are built for the k-core's
+        vertices alone."""
         import numpy as np
 
         k = make_gamma(gamma).ceil_mul(tau_size - 1)
-        keep = self._kcore_mask(k)
-        indptr, indices = self._induced(keep)
-        p, nb = indptr.tolist(), indices.tolist()
-        core = {v: set(nb[p[v]:p[v + 1]]) for v in np.flatnonzero(keep).tolist()}
-        for v, n1 in core.items():
-            if len(n1) + 1 >= tau_size:
-                continue  # v and N(v) alone reach τ_size
-            out = set(n1)
-            for u in n1:
-                out |= core[u]
-            out.add(v)
-            if len(out) < tau_size:
-                keep[v] = False
-        return keep
-
-    def pruned_vertices(self, gamma: Gamma | float, tau_size: int) -> set[int]:
-        """Section 8 preprocessing: k-core with k = ceil(γ(τ_size-1)),
-        then drop vertices whose two-hop neighbourhood in the core is
-        < τ_size."""
-        import numpy as np
-
-        return set(np.flatnonzero(self._pruned_mask(gamma, tau_size)).tolist())
-
-    def pruned_subgraph(self, gamma: Gamma | float, tau_size: int) -> "GlobalGraph":
-        """The pruned graph of Table 3(b), re-using global ids (vertices
-        outside the pruned set become isolated)."""
-        return GlobalGraph(*_csr_arrays(*self._induced(self._pruned_mask(gamma, tau_size))))
+        core = self.subgraph(np.flatnonzero(self._kcore_mask(k)).tolist())
+        p, nb = core.indptr.tolist(), core.indices.tolist()
+        nbrs = [set(nb[p[v]:p[v + 1]]) for v in range(core.n)]
+        keep = [v for v, n1 in enumerate(nbrs)
+                if len(n1) + 1 >= tau_size  # v and N(v) alone reach τ_size
+                or len({v}.union(n1, *map(nbrs.__getitem__, n1))) >= tau_size]
+        return core.subgraph(keep)
 
     # ----------------------------------------------- vertex ordering
-    def mining_order(self, alive: set[int], quick_plus: bool) -> tuple[dict[int, int], set[int]]:
-        """Rank for the set-enumeration order (Section 7's ID recoding).
+    def mining_order(self, quick_plus: bool) -> list[int]:
+        """The vertices with an edge in set-enumeration order, the order
+        Section 7 recodes vertex ids into.
 
         Quick orders every vertex by ascending degree. Quick+ adds the
-        degenerate (P7) rule: v_max (max degree in the pruned
-        graph) gets rank 0, N(v_max) get the largest ranks (and are
-        *not spawned from* — any quasi-clique inside N(v_max) extends
-        with v_max, hence is non-maximal), everything else is ranked by
-        ascending degree. Degrees count alive neighbours; ties go to the
-        smaller id. Returns (rank, skip_spawn_set).
+        degenerate (P7) rule: v_max (max degree) comes first, N(v_max)
+        last (and is *not spawned from* — any quasi-clique inside
+        N(v_max) extends with v_max, hence is non-maximal), everything
+        else in between by ascending degree. Ties go to the smaller id.
         """
-        if not alive:
-            return {}, set()
-        adj = self.adj
-        deg = {v: len(alive.intersection(adj[v])) for v in alive}
-        key = lambda v: (deg[v], v)
-        if not quick_plus:
-            return {v: i for i, v in enumerate(sorted(alive, key=key))}, set()
-        vmax = max(alive, key=lambda v: (deg[v], -v))
-        nbrs = alive.intersection(adj[vmax])
-        order = [vmax, *sorted(alive - nbrs - {vmax}, key=key), *sorted(nbrs, key=key)]
-        return {v: i for i, v in enumerate(order)}, nbrs
+        by_degree = sorted(self.vertices(), key=self.degree)  # stable: ties by id
+        if not quick_plus or not by_degree:
+            return by_degree
+        vmax = max(by_degree, key=self.degree)  # the first of max degree: the smallest id
+        nbrs = set(self.adj[vmax])
+        return [vmax, *(v for v in by_degree if v != vmax and v not in nbrs),
+                *(v for v in by_degree if v in nbrs)]
 
     # ----------------------------------------------------- tasks
     def local_graph(self, ids: list[int]) -> LocalGraph:
@@ -275,33 +251,24 @@ class GlobalGraph:
         return LocalGraph(len(ids), [sum(map(bit, idx[p[u]:p[u + 1]], zeros)) for u in ids])
 
     def task(self, s_ids, ext_ids) -> Task:
-        """The task ⟨S, ext⟩ for disjoint global-id sets S and ext, its
-        compact ids in ascending global id: a subtask (Alg 8 line 19), a
-        kernel to expand, or an MCF ego net."""
-        ids = sorted({*s_ids, *ext_ids})
+        """The task ⟨S, ext⟩ for disjoint id sets S and ext, its compact
+        ids in ascending input id (``labels``): a subtask (Alg 8 line
+        19), a kernel to expand, or an MCF ego net."""
+        ids = sorted({*s_ids, *ext_ids}, key=self.labels.__getitem__)
         s = set(s_ids)
         s_mask = mask_of(i for i, u in enumerate(ids) if u in s)
         return Task(self.local_graph(ids), ids, s_mask, ((1 << len(ids)) - 1) & ~s_mask)
 
-    def spawn_task(
-        self,
-        v: int,
-        rank: dict[int, int],
-        alive: set[int],
-        gamma: Gamma | float,
-        tau_size: int,
-    ) -> Task | None:
-        """Build the root task for spawn vertex v (Algorithms 4–7):
-        2-hop ego network over higher-ranked alive vertices, shrunk to
-        its k-core; None if v itself drops out (task pruned). Compact
-        ids are in rank order, so v is compact id 0."""
-        gam = make_gamma(gamma)
-        k = gam.ceil_mul(tau_size - 1)
-        if v not in alive or len(alive.intersection(self.adj[v])) < k:
+    def spawn_task(self, v: int, gamma: Gamma | float, tau_size: int) -> Task | None:
+        """Build the root task for spawn vertex v (Algorithms 4–7): the
+        2-hop ego network over v and the vertices with a higher id (on
+        the pruned graph, those after v in the mining order), shrunk to
+        its k-core; None if v itself drops out (task pruned). Compact ids
+        ascend, so v is compact id 0."""
+        k = make_gamma(gamma).ceil_mul(tau_size - 1)
+        if self.degree(v) < k:
             return None
-        rv = rank[v]
-        ids = sorted((u for u in self.two_hop(v, alive) if u == v or rank[u] > rv),
-                     key=rank.__getitem__)
+        ids = sorted(u for u in self.two_hop(v) if u >= v)
         if len(ids) < tau_size:
             return None
         g = self.local_graph(ids)

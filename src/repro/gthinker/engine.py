@@ -23,10 +23,12 @@ A job is one stage; it leaves one :class:`StageStats` in
   subtask to the next idle partition as soon as it is created (task
   stealing).
 
-  The k-core-pruned input graph is shipped once per executor as a
-  broadcast (the analogue of G-thinker's distributed vertex store +
-  remote vertex cache: every vertex pulled at most once), together with
-  the mining order computed once on the driver.
+  The pruned input graph is shipped once per executor as a broadcast
+  (the analogue of G-thinker's distributed vertex store + remote vertex
+  cache: every vertex pulled at most once). Its vertex ids are the
+  mining order the driver computed once (Section 7's ID recoding), so
+  nothing else travels with it; the driver maps candidates back to
+  input ids through its ``labels``.
 
   As in the paper's engine, candidates stay on the worker that found
   them until it has dropped those another of its candidates contains;
@@ -39,6 +41,7 @@ import json
 import logging
 import sys
 import time
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import TYPE_CHECKING
@@ -101,7 +104,7 @@ class StageStats:
 class JobResult:
     """Everything the evaluation tables need from one job."""
 
-    results: set[frozenset[int]] = field(default_factory=set)
+    results: set[frozenset[int]] = field(default_factory=set)  # input ids
     maximal: set[frozenset[int]] = field(default_factory=set)
     job_time: float = 0.0
     spawn_time: float = 0.0  # driver: preprocess, mining order and spawn rows
@@ -151,16 +154,17 @@ class JobResult:
 
 
 def spawn_all(gg: GlobalGraph, gamma, tau_size: int, quick_plus: bool = True):
-    """Preprocess ((P2) k-core + two-hop-size prune), compute the
-    mining order (degenerate (P7) recoding under Quick+) and list the
-    spawn vertices. Returns (pruned GlobalGraph, spawn rows): one
-    ``(v, cost)`` per vertex, in mining order, that (P7) does not skip
-    and that passes :meth:`GlobalGraph.spawn_task`'s first test, at
-    least k = ⌈γ(τ_size − 1)⌉ alive neighbours. The cost is v's number
-    of alive neighbours ranked above it. The root task itself is built
-    where it runs (:func:`_mine_rows`), and may still prune away. The
-    pruned graph's ``order`` holds the mining order's (alive, rank), so
-    the task loop does not compute it again.
+    """Preprocess ((P2) k-core + two-hop-size prune), order the kept
+    vertices for mining (degenerate (P7) order under Quick+) and list the
+    spawn vertices. Returns (pruned GlobalGraph, spawn rows).
+
+    The pruned graph is recoded into the mining order: its vertex i is
+    the i-th of :meth:`GlobalGraph.mining_order`, ``labels[i]`` its input
+    id. The rows are one ``(v, cost)`` per vertex, in mining order, that
+    (P7) does not skip and that passes :meth:`GlobalGraph.spawn_task`'s
+    first test, at least k = ⌈γ(τ_size − 1)⌉ neighbours. The cost is v's
+    number of neighbours with a higher id. The root task itself is built
+    where it runs (:func:`_mine_rows`), and may still prune away.
 
     Raises ``ValueError`` for γ < 0.5: the (P1) two-hop shrink assumes
     a quasi-clique has diameter ≤ 2, which only holds for γ ≥ 0.5. Also
@@ -170,19 +174,13 @@ def spawn_all(gg: GlobalGraph, gamma, tau_size: int, quick_plus: bool = True):
     if tau_size < 2:
         raise ValueError(f"tau_size must be >= 2, got {tau_size}")
     pruned = gg.pruned_subgraph(gam, tau_size)
-    alive = set(pruned.vertices())
-    rank, skip = pruned.mining_order(alive, quick_plus)
-    pruned.order = alive, rank
+    pruned = pruned.subgraph(pruned.mining_order(quick_plus))
+    # (P7) degenerate rule: subsets of N(v_max), the last ids, cannot be maximal
+    n_spawn = pruned.n - (pruned.degree(0) if quick_plus and pruned.n else 0)
     k = gam.ceil_mul(tau_size - 1)
-    adj = pruned.adj
-    rows = []
-    for v in sorted(alive, key=rank.__getitem__):
-        if v in skip:
-            continue  # (P7) degenerate rule: subsets of N(v_max) cannot be maximal
-        nbrs = adj[v]  # all alive: alive is every vertex with an edge
-        if len(nbrs) >= k:
-            rv = rank[v]
-            rows.append((v, sum(rank[u] > rv for u in nbrs)))
+    p, idx = pruned.indptr, pruned.indices
+    rows = [(v, p[v + 1] - bisect_right(idx, v, p[v], p[v + 1]))  # sorted slice: ids above v
+            for v in range(n_spawn) if p[v + 1] - p[v] >= k]
     return pruned, rows
 
 
@@ -210,13 +208,14 @@ def _features_row(task, outcome, elapsed: float) -> dict:
 
 
 def _mine_rows(
-    g_all: GlobalGraph, alive, rank, queue, gamma, tau_size: int,
+    g_all: GlobalGraph, queue, gamma, tau_size: int,
     *, collect_task_features: bool = False, **kw,
 ) -> tuple[set, dict, list]:
     """One partition's work: pull ``[kind, S ids, ext ids]`` task rows
     from ``queue`` until a pull returns none, run each, and push the
     ``(S, ext)`` subtasks each one creates back to ``queue`` at once.
-    Returns the candidates found, a stats dict and the feature rows.
+    Returns the candidates found, a stats dict and the feature rows, all
+    in ``g_all``'s ids.
 
     Every row takes one path: build its task from ``g_all``, then
     :func:`run_task`. A root row carries only the spawn vertex id, and
@@ -239,7 +238,7 @@ def _mine_rows(
         n_rows += len(rows)
         for kind, s_ids, e_ids in rows:
             t_task0 = time.perf_counter()
-            task = (g_all.spawn_task(s_ids[0], rank, alive, gamma, tau_size) if kind == ROOT
+            task = (g_all.spawn_task(s_ids[0], gamma, tau_size) if kind == ROOT
                     else g_all.task(s_ids, e_ids))
             mat += time.perf_counter() - t_task0
             if task is None:
@@ -262,10 +261,10 @@ def _mine_rows(
 
 
 def _mine_and_filter(mine, graph, queue) -> tuple[set, dict, list]:
-    """A Spark partition's body: ``mine(*graph, queue)``, then drop the
+    """A Spark partition's body: ``mine(graph, queue)``, then drop the
     candidates another of them contains, which are not maximal. (Not
     timed_maximal_only: tracers patch that on the driver.)"""
-    cands, stat, feat_rows = mine(*graph, queue)
+    cands, stat, feat_rows = mine(graph, queue)
     t0 = time.perf_counter()
     kept = maximal_only(cands)
     stat["filter"] = time.perf_counter() - t0
@@ -293,18 +292,19 @@ class _Stack:
 def _task_loop(gg: GlobalGraph, gamma, tau_size: int, executor, *, strategy: str,
                collect_task_features: bool, quick_plus: bool = True, **kw) -> JobResult:
     """The task loop both engines share. ``executor(graph, mine, rows)``
-    runs the job's one stage: ``mine(*graph, queue)``, i.e.
+    runs the job's one stage: ``mine(graph, queue)``, i.e.
     :func:`_mine_rows`, in every partition, with a queue whose first
     rows are the sorted ``rows``. It returns ``((candidates, stats dict,
-    feature rows), wall seconds)`` per partition, in partition order."""
+    feature rows), wall seconds)`` per partition, in partition order.
+    ``graph`` is the pruned graph, in mining-order ids; the loop maps
+    candidates and feature-row roots back to input ids."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     job = JobResult()
     t_start = time.perf_counter()
     pruned, spawned = spawn_all(gg, gamma, tau_size, quick_plus)
     job.spawn_time = time.perf_counter() - t_start
-    alive, rank = pruned.order
-    job.n_pruned_vertices, job.n_pruned_edges = len(alive), pruned.num_edges()
+    job.n_pruned_vertices, job.n_pruned_edges = pruned.n, pruned.num_edges()
     mine = partial(_mine_rows, gamma=make_gamma(gamma), tau_size=tau_size, strategy=strategy,
                    quick_plus=quick_plus, collect_task_features=collect_task_features, **kw)
     feats = []
@@ -313,15 +313,19 @@ def _task_loop(gg: GlobalGraph, gamma, tau_size: int, executor, *, strategy: str
         # big-task prioritization: biggest cost first (stable)
         rows = [[ROOT, [v], []] for v, _ in sorted(spawned, key=lambda r: r[1], reverse=True)]
         t_dispatch = time.perf_counter()
-        parts = executor((pruned, alive, rank), mine, rows)
+        parts = executor(pruned, mine, rows)
         t_decode = time.perf_counter()
         part_stats = []
         n_cands = 0
+        labels = pruned.labels
         for (cands, st, feat_rows), wall in parts:
             st["wall"] = wall
-            job.results.update(cands)
             n_cands += len(cands)
+            while cands:  # popped, so each candidate is held in one id space at a time
+                job.results.add(frozenset(map(labels.__getitem__, cands.pop())))
             part_stats.append(st)
+            for row in feat_rows:
+                row["root"] = labels[row["root"]]
             feats += feat_rows
             job.n_root_tasks += st["roots"]
             job.mine_time += st["mine"]
@@ -368,7 +372,7 @@ def run_serial(
 
     def in_process(graph, mine, rows):
         t0 = time.perf_counter()
-        out = mine(*graph, _Stack(rows))
+        out = mine(graph, _Stack(rows))
         return [(out, time.perf_counter() - t0)]
 
     return _task_loop(gg, gamma, tau_size, in_process, strategy=strategy,

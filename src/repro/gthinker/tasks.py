@@ -5,8 +5,9 @@ A *task* is ⟨S, ext(S)⟩ plus the compact subgraph induced by S ∪ ext(S)
 ``spawn_task`` builds it. ``run_task`` mines one task with one call of
 :meth:`repro.core.quickplus.Miner.mine`; the paper's three strategies
 differ only in its deadline. It reports results, child subtasks (in
-global ids), mining time and subgraph-materialization time — the two
-quantities Tables 12–14 compare.
+the ids ``ids`` maps compact ids to), mining time and
+subgraph-materialization time — the two quantities Tables 12–14
+compare.
 """
 from __future__ import annotations
 
@@ -28,10 +29,10 @@ STRATEGIES = ("base", "split", "time")
 class TaskOutcome:
     """What one task produced."""
 
-    results: list[frozenset[int]] = field(default_factory=list)  # global ids
+    results: list[frozenset[int]] = field(default_factory=list)  # in ``ids``
     subtasks: list[tuple[frozenset[int], frozenset[int]]] = field(
         default_factory=list
-    )  # (S, ext) in global ids
+    )  # (S, ext) in ``ids``
     mine_time: float = 0.0
     materialize_time: float = 0.0
     stats: MineStats = field(default_factory=MineStats)
@@ -75,7 +76,7 @@ def run_task(
     miner.mine(s_mask, ext_mask, deadline)
     mine_time = time.perf_counter() - t0
 
-    # Translating child (S, ext) masks back to global ids is part of the
+    # Translating child (S, ext) masks back through ``ids`` is part of the
     # subtask materialization cost (Alg 8 line 19 / Alg 10 lines 19-21).
     t1 = time.perf_counter()
     out = TaskOutcome(mine_time=mine_time, stats=miner.stats)

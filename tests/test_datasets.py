@@ -33,8 +33,8 @@ class TestRegistry:
         """Default (γ, τ_size) must leave a non-trivial pruned graph —
         otherwise the dataset exercises nothing (paper Table 3(b))."""
         gg, spec = load_dataset(name)
-        keep = gg.pruned_vertices(make_gamma(spec.gamma), spec.tau_size)
-        assert len(keep) >= spec.tau_size
+        pruned = gg.pruned_subgraph(make_gamma(spec.gamma), spec.tau_size)
+        assert len(pruned.vertices()) >= spec.tau_size
 
     def test_straggler_datasets_are_bigger_after_pruning(self):
         """YouTube/Patent stand-ins must retain the paper's property of

@@ -23,8 +23,7 @@ def comm_gg():
 def built_roots(gg, gamma, tau, quick_plus=True):
     """The root tasks of spawn_all's rows that spawn_task builds."""
     pruned, rows = spawn_all(gg, gamma, tau, quick_plus)
-    alive, rank = pruned.order
-    tasks = (pruned.spawn_task(v, rank, alive, make_gamma(gamma), tau) for v, _ in rows)
+    tasks = (pruned.spawn_task(v, make_gamma(gamma), tau) for v, _ in rows)
     return [t for t in tasks if t is not None]
 
 
@@ -47,13 +46,13 @@ class TestSpawnAll:
             assert t.s_mask & t.ext_mask == 0
 
     def test_rows_list_every_root_with_its_higher_ranked_degree(self, comm_gg):
-        """One row per spawn vertex in mining order, each root built from
-        one; the cost counts the alive neighbours ranked above v."""
+        """One row per spawn vertex in mining order (the pruned graph's
+        ids), each root built from one; the cost counts the neighbours
+        with an id above v."""
         pruned, rows = spawn_all(comm_gg, 0.85, 8)
-        alive, rank = pruned.order
-        assert [rank[v] for v, _ in rows] == sorted(rank[v] for v, _ in rows)
+        assert [v for v, _ in rows] == sorted(v for v, _ in rows)
         for v, cost in rows:
-            assert cost == sum(rank[u] > rank[v] for u in alive.intersection(pruned.adj[v]))
+            assert cost == sum(u > v for u in pruned.adj[v])
         assert {t.root for t in built_roots(comm_gg, 0.85, 8)} <= {v for v, _ in rows}
         job = run_serial(comm_gg, 0.85, 8)
         assert job.n_root_tasks == len(built_roots(comm_gg, 0.85, 8)) < len(rows)
@@ -147,6 +146,10 @@ class TestStrategiesAgree:
                     "core_number", "task_time_ms"):
             assert col in tf.columns
         assert (tf["num_vertices"] >= 0).all()
+        # one row per root built, its root in input ids
+        pruned, rows = spawn_all(comm_gg, 0.85, 8)
+        built = (pruned.spawn_task(v, make_gamma(0.85), 8) for v, _ in rows)
+        assert sorted(tf["root"]) == sorted(pruned.labels[t.root] for t in built if t)
 
 
 class TestDatasetSmoke:

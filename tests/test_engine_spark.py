@@ -198,7 +198,8 @@ class TestSparkEngine:
                      "n_pruned_vertices", "n_pruned_edges"):
             assert rec[name] == getattr(job, name)
         # Table 3(b)'s columns: the pruned graph's vertices with an edge, and edges
-        keep = comm_gg.pruned_vertices(0.85, 9)
+        pruned = comm_gg.pruned_subgraph(0.85, 9)
+        keep = {pruned.labels[v] for v in pruned.vertices()}
         assert rec["n_pruned_vertices"] == len(keep) > 0
         assert rec["n_pruned_edges"] == sum(
             len(keep.intersection(comm_gg.adj[v])) for v in keep) // 2 > 0
@@ -233,33 +234,33 @@ class TestLocalDrain:
     @pytest.fixture(scope="class")
     def partition(self, comm_gg):
         pruned, spawned = spawn_all(comm_gg, 0.85, 9)
-        alive, rank = pruned.order
         rows = [[ROOT, [v], []] for v, _ in spawned]
-        return pruned, alive, rank, rows
+        return pruned, rows
 
     def mine(self, partition, queue):
-        pruned, alive, rank, _ = partition
-        return _mine_rows(pruned, alive, rank, queue, make_gamma(0.85), 9, **self.KW)
+        return _mine_rows(partition[0], queue, make_gamma(0.85), 9, **self.KW)
 
     def test_unbounded_drain_ships_no_subtask(self, partition, comm_gg):
         """On run_serial's stack, every subtask is mined where it was made."""
-        cands, stat, _ = self.mine(partition, _Stack(partition[3]))
+        cands, stat, _ = self.mine(partition, _Stack(partition[1]))
         n_subtasks = stat["stats"]["n_subtasks"]
-        assert stat["rows"] == len(partition[3]) + n_subtasks
+        assert stat["rows"] == len(partition[1]) + n_subtasks
         assert n_subtasks > 0
         assert stat["pulls"] == n_subtasks + 2
-        assert maximal_only(cands) == run_serial(comm_gg, 0.85, 9, strategy="base").maximal
+        lab = partition[0].labels  # candidates are in the pruned graph's ids
+        assert ({frozenset(lab[v] for v in c) for c in maximal_only(cands)}
+                == run_serial(comm_gg, 0.85, 9, strategy="base").maximal)
 
     def test_pushes_what_run_task_returns(self, partition):
         """Each subtask is pushed once, as run_task made it."""
         pushed = []
-        queue = SimpleNamespace(pull=iter([partition[3], []]).__next__, push=pushed.extend)
+        queue = SimpleNamespace(pull=iter([partition[1], []]).__next__, push=pushed.extend)
         _, stat, _ = self.mine(partition, queue)
-        assert stat["pulls"] == 2 and stat["rows"] == len(partition[3])
-        pruned, alive, rank, rows = partition
+        assert stat["pulls"] == 2 and stat["rows"] == len(partition[1])
+        pruned, rows = partition
         expect = []
         for _, (v,), _ in rows:
-            t = pruned.spawn_task(v, rank, alive, make_gamma(0.85), 9)
+            t = pruned.spawn_task(v, make_gamma(0.85), 9)
             if t is not None:
                 expect += run_task(t.graph, t.ids, t.s_mask, t.ext_mask,
                                    make_gamma(0.85), 9, **self.KW).subtasks

@@ -64,10 +64,20 @@ class TestBuild:
             run_serial(GlobalGraph.from_edges(k4), 0.9, 4)
 
 
+def kcore(gg, k) -> set[int]:
+    """The (P2) k-core's vertices, from the peel's mask."""
+    return set(np.flatnonzero(gg._kcore_mask(k)).tolist())
+
+
+def kept(pruned) -> set[int]:
+    """The input ids of a pruned graph's vertices with an edge."""
+    return {pruned.labels[v] for v in pruned.vertices()}
+
+
 class TestKCore:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_kcore_degree_invariant(self, gg, k):
-        core = gg.kcore_vertices(k)
+        core = kcore(gg, k)
         for v in core:
             assert len(core.intersection(gg.adj[v])) >= k
 
@@ -75,10 +85,10 @@ class TestKCore:
         # adding any removed vertex violates the invariant transitively:
         # check the standard fixpoint property instead — re-peeling the
         # core changes nothing.
-        core = gg.kcore_vertices(3)
+        core = kcore(gg, 3)
         sub = GlobalGraph.from_edges(
             [(u, v) for u in core for v in core.intersection(gg.adj[u])])
-        assert sub.kcore_vertices(3) == core
+        assert kcore(sub, 3) == core
 
     def test_matches_local_graph_kcore(self, gg):
         from repro.core.graph import LocalGraph
@@ -87,68 +97,86 @@ class TestKCore:
             gg.n, [(u, v) for u in range(gg.n) for v in gg.adj[u] if u < v]
         )
         for k in (2, 3, 4):
-            assert set(bits(lg.kcore_mask(k))) == gg.kcore_vertices(k)
+            assert set(bits(lg.kcore_mask(k))) == kcore(gg, k)
 
 
 class TestPrune:
     def test_pruned_vertices_subset_of_kcore(self, gg):
         gam = make_gamma(0.9)
-        keep = gg.pruned_vertices(gam, 8)
-        core = gg.kcore_vertices(gam.ceil_mul(7))
+        keep = kept(gg.pruned_subgraph(gam, 8))
+        core = kcore(gg, gam.ceil_mul(7))
         assert keep <= core
+        sub = gg.subgraph(sorted(core))  # two hops inside the k-core
+        at = {u: i for i, u in enumerate(sub.labels)}
         for v in keep:
-            assert len(gg.two_hop(v, core)) >= 8
+            assert len(sub.two_hop(at[v])) >= 8
 
     def test_pruned_subgraph_isolates_dropped(self, gg):
+        """The pruned graph holds the kept vertices' edges among
+        themselves, recoded in ascending input id; no dropped vertex
+        keeps an edge."""
         pruned = gg.pruned_subgraph(0.9, 8)
-        keep = gg.pruned_vertices(0.9, 8)
-        for v in range(gg.n):
-            if v not in keep:
-                assert set(pruned.adj[v]) == set()
-            else:
-                assert set(pruned.adj[v]) == keep.intersection(gg.adj[v])
+        keep, lab = kept(pruned), pruned.labels
+        assert keep and list(lab) == sorted(lab)
+        for v in range(pruned.n):
+            assert {lab[u] for u in pruned.adj[v]} == keep.intersection(gg.adj[lab[v]])
+
+
+def check_recoded_like_reference(gg, quick_plus):
+    """spawn_all's pruned graph: vertex i is the set-based reference
+    order's i-th vertex, its edges map through ``labels`` to the
+    reference's, and under Quick+ N(v_max) = N(0) are the last ids."""
+    pruned, _ = spawn_all(gg, 0.8, 6, quick_plus)
+    want = ref_pruned(ref_adjacency((u, w) for u in gg.vertices() for w in gg.adj[u]), 0.8, 6)
+    alive, rank, _ = ref_spawn_rows(want, make_gamma(0.8).ceil_mul(5), quick_plus)
+    lab = pruned.labels
+    assert list(lab) == sorted(alive, key=rank.__getitem__) != []
+    assert [{lab[u] for u in a} for a in pruned.adj] == [want[v] for v in lab]
+    if quick_plus:
+        d = pruned.degree(0)
+        assert list(pruned.adj[0]) == list(range(pruned.n - d, pruned.n))
 
 
 class TestMiningOrder:
     def test_degenerate_order_puts_vmax_first(self, gg):
-        alive = {v for v in range(gg.n) if gg.adj[v]}
-        rank, skip = gg.mining_order(alive, quick_plus=True)
-        vmax = max(alive, key=lambda v: (len(alive.intersection(gg.adj[v])), -v))
-        assert rank[vmax] == 0
-        assert skip == alive.intersection(gg.adj[vmax])
-        # neighbours of vmax occupy the largest ranks
-        tail = sorted(rank[v] for v in skip)
-        assert tail == list(range(len(alive) - len(skip), len(alive)))
+        order = gg.mining_order(quick_plus=True)
+        vmax = max(gg.vertices(), key=lambda v: (gg.degree(v), -v))
+        nbrs = set(gg.adj[vmax])
+        assert order[0] == vmax
+        # neighbours of vmax come last, everything else by ascending degree
+        assert set(order[len(order) - len(nbrs):]) == nbrs
+        middle = order[1:len(order) - len(nbrs)]
+        assert middle == sorted(middle, key=lambda v: (gg.degree(v), v))
+        assert sorted(order) == gg.vertices()
+        check_recoded_like_reference(gg, quick_plus=True)
 
     def test_plain_order_is_permutation(self, gg):
-        alive = {v for v in range(gg.n) if gg.adj[v]}
-        rank, skip = gg.mining_order(alive, quick_plus=False)
-        assert skip == set()
-        assert sorted(rank.values()) == list(range(len(alive)))
+        order = gg.mining_order(quick_plus=False)
+        assert sorted(order) == gg.vertices()
+        assert order == sorted(order, key=lambda v: (gg.degree(v), v))
+        check_recoded_like_reference(gg, quick_plus=False)
 
     def test_empty_alive(self, gg):
-        assert gg.mining_order(set(), True) == ({}, set())
+        assert GlobalGraph.from_edges([]).mining_order(True) == []
 
 
 class TestSpawnTask:
     def test_spawn_scope_is_two_hop_higher_rank(self, gg):
         gam = make_gamma(0.8)
         tau = 6
-        pruned = gg.pruned_subgraph(gam, tau)
-        alive = {v for v in range(pruned.n) if pruned.adj[v]}
-        rank, _ = pruned.mining_order(alive, True)
+        pruned, _ = spawn_all(gg, gam, tau)
         spawned = 0
-        for v in sorted(alive)[:30]:
-            t = pruned.spawn_task(v, rank, alive, gam, tau)
+        for v in range(min(30, pruned.n)):
+            t = pruned.spawn_task(v, gam, tau)
             if t is None:
                 continue
             spawned += 1
-            two_hop = pruned.two_hop(v, alive)
+            two_hop = pruned.two_hop(v)
             assert t.root == v
             assert t.ids[0] == v and t.s_mask == 1  # the root is compact id 0
-            assert [rank[u] for u in t.ids] == sorted(rank[u] for u in t.ids)
+            assert t.ids == sorted(t.ids)  # ids are the mining order
             for gid in t.ids:
-                assert gid == v or rank[gid] > rank[v]
+                assert gid >= v
                 assert gid in two_hop
             # k-core invariant inside the task subgraph
             k = gam.ceil_mul(tau - 1)
@@ -258,17 +286,20 @@ class TestSetReference:
     @settings(max_examples=150, deadline=None)
     def test_csr_preprocess_and_spawn_match_sets(self, edges, gamma, tau, quick_plus):
         """CSR from_edges -> pruned_subgraph -> spawn_all keeps the same
-        vertices, neighbour sets and spawn rows as the set-based code."""
+        vertices, mining order, neighbour sets and spawn rows as the
+        set-based code, once mapped through the pruned graph's labels."""
         adj = ref_adjacency(edges)
         gg = GlobalGraph.from_edges(edges)
         assert [set(a) for a in gg.adj] == adj
         assert all(list(a) == sorted(a) for a in gg.adj)
         k = make_gamma(gamma).ceil_mul(tau - 1)
-        assert gg.kcore_vertices(k) == ref_kcore(adj, k)
+        assert kcore(gg, k) == ref_kcore(adj, k)
         want = ref_pruned(adj, gamma, tau)
-        assert gg.pruned_vertices(gamma, tau) == {v for v, a in enumerate(want) if a}
+        assert kept(gg.pruned_subgraph(gamma, tau)) == {v for v, a in enumerate(want) if a}
         pruned, rows = spawn_all(gg, gamma, tau, quick_plus)
-        assert [set(a) for a in pruned.adj] == want
+        lab = pruned.labels
         alive, rank, want_rows = ref_spawn_rows(want, k, quick_plus)
-        assert pruned.order == (alive, rank)
-        assert rows == want_rows
+        assert list(lab) == sorted(alive, key=rank.__getitem__)
+        assert [{lab[u] for u in a} for a in pruned.adj] == [want[v] for v in lab]
+        assert all(list(a) == sorted(a) for a in pruned.adj)
+        assert [(lab[v], cost) for v, cost in rows] == want_rows

@@ -70,26 +70,25 @@ def test_fresh_worker_imports_no_pandas_or_numpy():
 
 
 def test_fresh_worker_unpickles_pruned_graph_without_pandas_or_numpy():
-    """The payload ``run_spark`` broadcasts: ``spawn_all``'s pruned graph
-    with its mining order. A fresh worker unpickles it and builds every
-    root task of the spawn rows from it without importing either."""
+    """The payload ``run_spark`` broadcasts: ``spawn_all``'s pruned graph,
+    recoded into the mining order. A fresh worker unpickles it and builds
+    every root task of the spawn rows from it without importing either."""
     gg = GlobalGraph.from_edges(
         edges_pdf(planted_community_graph(120, [(10, 0.95)], seed=2)))
     pruned, rows = spawn_all(gg, 0.8, 6)
-    alive, rank = pruned.order
-    built = [pruned.spawn_task(v, rank, alive, 0.8, 6) for v, _ in rows]
-    blob = pickle.dumps(((pruned, alive, rank), rows))
+    built = [pruned.spawn_task(v, 0.8, 6) for v, _ in rows]
+    blob = pickle.dumps((pruned, rows))
     child = (
         "import pickle, sys\n"
         "import repro.gthinker.engine\n"
-        "(pruned, alive, rank), rows = pickle.loads(sys.stdin.buffer.read())\n"
-        "tasks = [pruned.spawn_task(v, rank, alive, 0.8, 6) for v, _ in rows]\n"
-        "print([t.ids for t in tasks if t is not None])\n"
+        "pruned, rows = pickle.loads(sys.stdin.buffer.read())\n"
+        "tasks = [pruned.spawn_task(v, 0.8, 6) for v, _ in rows]\n"
+        "print([[pruned.labels[u] for u in t.ids] for t in tasks if t is not None])\n"
         "print(sorted(m for m in ('pandas', 'numpy') if m in sys.modules))\n"
     )
     src = str(Path(repro.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", child], input=blob, capture_output=True,
                          check=True, env={"PYTHONPATH": src})
     ids, imported = out.stdout.decode().splitlines()
-    assert ids == str([t.ids for t in built if t is not None]) != "[]"
+    assert ids == str([[pruned.labels[u] for u in t.ids] for t in built if t is not None]) != "[]"
     assert imported == "[]"

@@ -3,16 +3,18 @@
     python3 tools/kernel_ab.py SRC_A SRC_B --dataset Patent [--passes 2]
 
 ``SRC_A`` and ``SRC_B`` are two ``src`` directories (say, a checkout of
-the parent commit and the working tree). Each one's ``repro`` package is
-copied into a temporary directory under its own name (``repro_a``,
+the parent commit and the working tree) whose ``spawn_all`` returns a
+pruned graph with ``labels``. Each one's ``repro`` package is copied
+into a temporary directory under its own name (``repro_a``,
 ``repro_b``; ``src/`` uses only relative imports, so the copies do not
 see each other) and imported into this one process. Each side loads the
 dataset and spawns its root tasks with its own code; the root lists must
-match. Then every root task's A_base ``run_task`` runs on both sides in
-turn, alternating which side goes first, and the two sides must return
-the same result sets for every task. Timing both sides in one process,
-task by task, cancels most of the drift between runs that separate
-processes on a shared host see.
+match in input ids (the pruned graph's ``labels``). Then every root
+task's A_base ``run_task`` runs on both sides in turn, alternating which
+side goes first, and the two sides must return the same result sets for
+every task, in input ids. Timing both sides in one process, task by
+task, cancels most of the drift between runs that separate processes on
+a shared host see.
 
 Prints one JSON object: for each side the sums of the mining time and
 of the bounds, critical, cover and lookahead phase timers, and the ratio
@@ -55,14 +57,13 @@ def run_ab(src_a: Path, src_b: Path, dataset: str, passes: int = 1) -> dict:
         return _interleave(sides, dataset, passes) | {"a_src": str(src_a), "b_src": str(src_b)}
 
 
-def _root_tasks(engine, gg, spec) -> list:
-    """The root tasks one side builds: ``spawn_all`` lists ``(v, cost)``
-    spawn rows and ``spawn_task`` builds each, dropping those that prune
-    away."""
+def _root_tasks(engine, gg, spec) -> tuple:
+    """The pruned graph's ``labels`` and the root tasks one side builds:
+    ``spawn_all`` lists ``(v, cost)`` spawn rows and ``spawn_task``
+    builds each, dropping those that prune away."""
     pruned, rows = engine.spawn_all(gg, spec.gamma, spec.tau_size)
-    alive, rank = pruned.order
-    tasks = (pruned.spawn_task(v, rank, alive, spec.gamma, spec.tau_size) for v, _ in rows)
-    return [t for t in tasks if t is not None]
+    tasks = (pruned.spawn_task(v, spec.gamma, spec.tau_size) for v, _ in rows)
+    return pruned.labels, [t for t in tasks if t is not None]
 
 
 def _interleave(sides, dataset: str, passes: int) -> dict:
@@ -70,19 +71,21 @@ def _interleave(sides, dataset: str, passes: int) -> dict:
     for datasets, engine, _ in sides:
         gg, spec = datasets.load_dataset(dataset)
         spawned.append(_root_tasks(engine, gg, spec))
-    roots = [t.root for t in spawned[0]]
-    if roots != [t.root for t in spawned[1]]:
+    roots = [[labels[t.root] for t in tasks] for labels, tasks in spawned]
+    if roots[0] != roots[1]:
         raise AssertionError(f"{dataset}: the two sides spawn different root tasks")
+    roots = roots[0]
     sums = [dict.fromkeys(PHASES, 0.0) for _ in sides]
     pass_mine = [[0.0] * passes for _ in sides]
     for p in range(passes):
         for i, root in enumerate(roots):
             found = [None, None]
             for side in ((0, 1) if (p * len(roots) + i) % 2 == 0 else (1, 0)):
-                t = spawned[side][i]
+                labels, tasks = spawned[side]
+                t = tasks[i]
                 out = sides[side][2].run_task(t.graph, t.ids, t.s_mask, t.ext_mask,
                                               spec.gamma, spec.tau_size, strategy="base")
-                found[side] = set(out.results)
+                found[side] = {frozenset(labels[v] for v in s) for s in out.results}
                 pass_mine[side][p] += out.mine_time
                 for key, attr in PHASES.items():
                     sums[side][key] += out.mine_time if attr is None else getattr(out.stats, attr)
