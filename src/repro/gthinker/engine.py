@@ -9,13 +9,16 @@ queue, builds each task where it runs (a root task or a subtask, through
 the one builder in :mod:`repro.graphs.global_graph`), mines it, and
 pushes the subtasks a τ_time timeout or a τ_split split creates back to
 the queue.
-A job is one stage; it leaves one :class:`StageStats` in
-``JobResult.stage``, and the INFO log line of the job renders it.
+A job is one stage over a :class:`repro.gthinker.qglobal.QGlobal`; it
+leaves one :class:`StageStats` in ``JobResult.stage``, and the INFO log
+line of the job renders it. Both engines run the stage through the same
+executor contract, and differ only in the executor:
 
 * :func:`run_serial` — single-threaded reference (the paper's "serial
-  mining time"; also the Quick+/Quick comparison harness): the stage
-  runs in-process, and its queue is a local stack (Q_local): the root
-  rows first, then every subtask LIFO.
+  mining time"; also the Quick+/Quick comparison harness): the stage is
+  one partition run in-process
+  (:func:`repro.gthinker.qglobal.run_in_process`), so its queue serves
+  the root rows first, then every subtask LIFO (Q_local).
 * :func:`run_spark` — the distributed engine: one RDD stage whose
   partitions pull from a Q_global the driver holds
   (:func:`repro.gthinker.qglobal.run_stage`). It deals the sorted rows
@@ -44,17 +47,13 @@ import time
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from typing import TYPE_CHECKING
 
 from ..core.gamma import make_gamma, make_mining_gamma
 from ..core.postprocess import maximal_only, timed_maximal_only
 from ..core.quickplus import MineStats
 from ..graphs.global_graph import GlobalGraph
-from .qglobal import ROOT, SUB, run_stage
+from .qglobal import ROOT, run_in_process, run_stage
 from .tasks import STRATEGIES, run_task
-
-if TYPE_CHECKING:  # pandas takes 0.5 s to import; fresh workers never need it
-    import pandas as pd
 
 __all__ = ["JobResult", "StageStats", "run_serial", "run_spark", "spawn_all"]
 
@@ -121,7 +120,6 @@ class JobResult:
     n_pruned_edges: int = 0
     stage: StageStats | None = None
     stats: MineStats = field(default_factory=MineStats)
-    task_features: pd.DataFrame | None = None  # Tables 1–2 per-task rows
 
     @property
     def n_rounds(self) -> int:
@@ -145,7 +143,7 @@ class JobResult:
         """The job record: job-level counters and times, the miner's
         phase counters and the stage record, without the result sets."""
         rec = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("results", "maximal", "stats", "stage", "task_features")}
+               if f.name not in ("results", "maximal", "stats", "stage")}
         rec.update(n_rounds=self.n_rounds, n_subtasks=self.n_subtasks,
                    n_results=self.n_results, n_maximal=self.n_maximal,
                    stats=asdict(self.stats),
@@ -184,38 +182,11 @@ def spawn_all(gg: GlobalGraph, gamma, tau_size: int, quick_plus: bool = True):
     return pruned, rows
 
 
-def _features_row(task, outcome, elapsed: float) -> dict:
-    """Per-task subgraph features of Tables 1–2."""
-    g = task.graph
-    degs = [g.degree(v) for v in range(g.n) if g.adj[v]]
-    n_v = len(degs)
-    n_e = sum(degs) // 2
-    core = 0
-    k = 1
-    while g.kcore_mask(k) != 0:
-        core = k
-        k += 1
-    return {
-        "root": task.root,
-        "num_vertices": n_v,
-        "num_edges": n_e,
-        "max_degree": max(degs, default=0),
-        "avg_degree": (2 * n_e / n_v) if n_v else 0.0,
-        "core_number": core,
-        "task_time_ms": elapsed * 1000.0,
-        "n_results": len(outcome.results),
-    }
-
-
-def _mine_rows(
-    g_all: GlobalGraph, queue, gamma, tau_size: int,
-    *, collect_task_features: bool = False, **kw,
-) -> tuple[set, dict, list]:
+def _mine_rows(g_all: GlobalGraph, queue, gamma, tau_size: int, **kw) -> tuple[set, dict]:
     """One partition's work: pull ``[kind, S ids, ext ids]`` task rows
     from ``queue`` until a pull returns none, run each, and push the
     ``(S, ext)`` subtasks each one creates back to ``queue`` at once.
-    Returns the candidates found, a stats dict and the feature rows, all
-    in ``g_all``'s ids.
+    Returns the candidates found, in ``g_all``'s ids, and a stats dict.
 
     Every row takes one path: build its task from ``g_all``, then
     :func:`run_task`. A root row carries only the spawn vertex id, and
@@ -225,7 +196,6 @@ def _mine_rows(
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     results: set = set()
     stats = MineStats()
-    feat_rows = []
     n_rows = n_roots = n_pulls = 0
     wait = mine = mat = 0.0
     while True:
@@ -247,8 +217,6 @@ def _mine_rows(
                            gamma, tau_size, **kw)
             if task.root is not None:
                 n_roots += 1
-                if collect_task_features:
-                    feat_rows.append(_features_row(task, out, time.perf_counter() - t_task0))
             results.update(out.results)
             mine += out.mine_time
             mat += out.materialize_time
@@ -257,47 +225,29 @@ def _mine_rows(
                 queue.push(out.subtasks)
     stat = {"rows": n_rows, "roots": n_roots, "pulls": n_pulls, "wait": wait,
             "mine": mine, "mat": mat, "filter": 0.0, "stats": stats.__dict__}
-    return results, stat, feat_rows
+    return results, stat
 
 
-def _mine_and_filter(mine, graph, queue) -> tuple[set, dict, list]:
+def _mine_and_filter(mine, graph, queue) -> tuple[set, dict]:
     """A Spark partition's body: ``mine(graph, queue)``, then drop the
     candidates another of them contains, which are not maximal. (Not
     timed_maximal_only: tracers patch that on the driver.)"""
-    cands, stat, feat_rows = mine(graph, queue)
+    cands, stat = mine(graph, queue)
     t0 = time.perf_counter()
     kept = maximal_only(cands)
     stat["filter"] = time.perf_counter() - t0
-    return kept, stat, feat_rows
-
-
-class _Stack:
-    """The in-process queue of :func:`run_serial` (Q_local): the first
-    pull returns the root rows; later ones pop one subtask, LIFO."""
-
-    def __init__(self, rows: list):
-        self._first = rows
-        self._stack: list = []
-
-    def pull(self) -> list:
-        if self._first is not None:
-            rows, self._first = self._first, None
-            return rows
-        return [self._stack.pop()] if self._stack else []
-
-    def push(self, subtasks) -> None:
-        self._stack.extend([SUB, s, e] for s, e in subtasks)
+    return kept, stat
 
 
 def _task_loop(gg: GlobalGraph, gamma, tau_size: int, executor, *, strategy: str,
-               collect_task_features: bool, quick_plus: bool = True, **kw) -> JobResult:
-    """The task loop both engines share. ``executor(graph, mine, rows)``
-    runs the job's one stage: ``mine(graph, queue)``, i.e.
-    :func:`_mine_rows`, in every partition, with a queue whose first
-    rows are the sorted ``rows``. It returns ``((candidates, stats dict,
-    feature rows), wall seconds)`` per partition, in partition order.
-    ``graph`` is the pruned graph, in mining-order ids; the loop maps
-    candidates and feature-row roots back to input ids."""
+               quick_plus: bool = True, **kw) -> JobResult:
+    """The task loop both engines share. ``executor(graph, rows, mine)``
+    runs the job's one stage over a :class:`repro.gthinker.qglobal.QGlobal`
+    of the sorted ``rows``: ``mine(graph, queue)``, i.e. :func:`_mine_rows`
+    (on Spark with the worker filter around it), in every partition. It
+    returns ``((candidates, stats dict), wall seconds)`` per partition,
+    in partition order. ``graph`` is the pruned graph, in mining-order
+    ids; the loop maps candidates back to input ids."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     job = JobResult()
@@ -306,27 +256,23 @@ def _task_loop(gg: GlobalGraph, gamma, tau_size: int, executor, *, strategy: str
     job.spawn_time = time.perf_counter() - t_start
     job.n_pruned_vertices, job.n_pruned_edges = pruned.n, pruned.num_edges()
     mine = partial(_mine_rows, gamma=make_gamma(gamma), tau_size=tau_size, strategy=strategy,
-                   quick_plus=quick_plus, collect_task_features=collect_task_features, **kw)
-    feats = []
+                   quick_plus=quick_plus, **kw)
     if spawned:
         t_round = time.perf_counter()
         # big-task prioritization: biggest cost first (stable)
         rows = [[ROOT, [v], []] for v, _ in sorted(spawned, key=lambda r: r[1], reverse=True)]
         t_dispatch = time.perf_counter()
-        parts = executor(pruned, mine, rows)
+        parts = executor(pruned, rows, mine)
         t_decode = time.perf_counter()
         part_stats = []
         n_cands = 0
         labels = pruned.labels
-        for (cands, st, feat_rows), wall in parts:
+        for (cands, st), wall in parts:
             st["wall"] = wall
             n_cands += len(cands)
             while cands:  # popped, so each candidate is held in one id space at a time
                 job.results.add(frozenset(map(labels.__getitem__, cands.pop())))
             part_stats.append(st)
-            for row in feat_rows:
-                row["root"] = labels[row["root"]]
-            feats += feat_rows
             job.n_root_tasks += st["roots"]
             job.mine_time += st["mine"]
             job.materialize_time += st["mat"]
@@ -347,10 +293,6 @@ def _task_loop(gg: GlobalGraph, gamma, tau_size: int, executor, *, strategy: str
         _log.info("%s", job.stage)
     job.maximal, job.postprocess_time = timed_maximal_only(job.results)
     job.job_time = time.perf_counter() - t_start
-    if collect_task_features:
-        import pandas as pd
-
-        job.task_features = pd.DataFrame(feats)
     return job
 
 
@@ -363,21 +305,14 @@ def run_serial(
     tau_split: int = 50,
     tau_time: float = 1.0,
     quick_plus: bool = True,
-    collect_task_features: bool = False,
 ) -> JobResult:
     """Single-threaded engine: the shared task loop with its stage run
-    in-process on a local stack and no candidate filter. So ``results``
-    holds every candidate. Ground truth for the distributed runs.
-    ``quick_plus=False`` mines with Quick (Table 15)."""
-
-    def in_process(graph, mine, rows):
-        t0 = time.perf_counter()
-        out = mine(graph, _Stack(rows))
-        return [(out, time.perf_counter() - t0)]
-
-    return _task_loop(gg, gamma, tau_size, in_process, strategy=strategy,
-                      tau_split=tau_split, tau_time=tau_time, quick_plus=quick_plus,
-                      collect_task_features=collect_task_features)
+    in-process as one partition of a Q_global
+    (:func:`repro.gthinker.qglobal.run_in_process`) and no candidate
+    filter. So ``results`` holds every candidate. Ground truth for the
+    distributed runs. ``quick_plus=False`` mines with Quick (Table 15)."""
+    return _task_loop(gg, gamma, tau_size, run_in_process, strategy=strategy,
+                      tau_split=tau_split, tau_time=tau_time, quick_plus=quick_plus)
 
 
 def run_spark(
@@ -390,16 +325,14 @@ def run_spark(
     tau_split: int = 50,
     tau_time: float = 1.0,
     parallelism: int | None = None,
-    collect_task_features: bool = False,
 ) -> JobResult:
     """Distributed engine (see module docstring for the mapping): one
     stage of n partitions that pull from a Q_global served on
     ``spark.driver.host`` (:func:`repro.gthinker.qglobal.run_stage`, which
     raises ``RuntimeError`` if a partition lost its connection while it
     held rows, and refuses ``spark.speculation``)."""
-    def on_spark(graph, mine, rows):
+    def on_spark(graph, rows, mine):
         return run_stage(spark, parallelism, graph, rows, partial(_mine_and_filter, mine))
 
     return _task_loop(gg, gamma, tau_size, on_spark, strategy=strategy,
-                      tau_split=tau_split, tau_time=tau_time,
-                      collect_task_features=collect_task_features)
+                      tau_split=tau_split, tau_time=tau_time)

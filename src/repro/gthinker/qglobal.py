@@ -1,10 +1,10 @@
-"""Q_global of one Spark job: the driver holds it, partitions pull from it.
+"""Q_global of one job's stage: the driver holds it, partitions pull from it.
 
 In G-thinker every worker keeps a global task queue beside its threads'
 local ones, serves big tasks first, and lets an idle thread take work
-from it (§5). Here one job is one RDD stage (:func:`run_stage`, the
-only Spark stage executor), and the driver holds its Q_global
-(:class:`QGlobal`):
+from it (§5). Here one job is one stage over one :class:`QGlobal`, run
+by :func:`run_stage` (one RDD stage of n partitions) or
+:func:`run_in_process` (one partition in the calling thread). Either way:
 
 * the driver deals the rows, sorted as the caller wants them, into n
   lists (:func:`_deal`); a partition's first pull returns its own list;
@@ -21,7 +21,7 @@ only Spark stage executor), and the driver holds its Q_global
   rows) once no subtask and no unclaimed row is left and no partition
   is busy.
 
-Transport (:class:`Server` on the driver, :class:`Client` in the
+Transport on Spark (:class:`Server` on the driver, :class:`Client` in the
 partition): TCP on the driver host, ``TCP_NODELAY``, one thread per
 connection. A client first sends the job's random token, which is
 checked with ``hmac.compare_digest`` before anything else is read; a
@@ -45,8 +45,10 @@ import time
 import zipimport
 from collections import deque
 from contextlib import closing
+from functools import partial
+from types import SimpleNamespace
 
-__all__ = ["ROOT", "SUB", "Client", "QGlobal", "Server", "run_stage"]
+__all__ = ["ROOT", "SUB", "Client", "QGlobal", "Server", "run_in_process", "run_stage"]
 
 ROOT, SUB = 0, 1  # a task row is [kind, S ids, ext ids]; a root row is [ROOT, [v], []]
 _PULL, _PUSH = 0, 1  # client messages: [_PULL] and [_PUSH, [S, ext], ...]
@@ -267,6 +269,18 @@ class Client:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def run_in_process(payload, rows: list, body) -> list[tuple]:
+    """One stage of one partition, in the calling thread, over
+    ``QGlobal([rows])``: partition 0 runs ``body(payload, its end of the
+    queue)``, which has :class:`Client`'s ``pull()`` and ``push(subtasks)``
+    and no transport. Returns ``[(body's value, wall seconds)]``, as
+    :func:`run_stage` does."""
+    t_entry = time.perf_counter()
+    queue = QGlobal([rows])
+    out = body(payload, SimpleNamespace(pull=partial(queue.pull, 0), push=partial(queue.push, 0)))
+    return [(out, time.perf_counter() - t_entry)]
 
 
 def _deal(rows: list, n: int) -> list[list]:

@@ -1,6 +1,7 @@
 """Serial engine driver invariants (repro/gthinker/engine.py)."""
 import logging
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from repro.core.gamma import make_gamma
 from repro.graphs.datasets import load_dataset
 from repro.graphs.generators import edges_pdf, planted_community_graph
 from repro.graphs.global_graph import GlobalGraph
+from repro.gthinker import engine
 from repro.gthinker.engine import run_serial, spawn_all
 from repro.gthinker.qglobal import _deal
 
@@ -105,7 +107,26 @@ class TestTaskLoop:
         rec = job.stage
         assert len(rec.part_wall_s) == 1
         assert rec.part_rows == [rec.rows_in + job.n_subtasks]
+        assert rec.part_pulls == [job.n_subtasks + 2]
         assert rec.part_mine_s[0] <= rec.part_wall_s[0] <= rec.dispatch_s
+
+
+    def test_tracer_hooks_see_every_call(self, comm_gg, monkeypatch):
+        """A tracer times a job by wrapping ``engine.spawn_all``,
+        ``engine.run_task`` and ``engine.timed_maximal_only``: the task
+        loop must reach each one through the engine module's globals, once
+        per job, per task run and per job respectively."""
+        calls = Counter()
+        for name in ("spawn_all", "run_task", "timed_maximal_only"):
+            def counted(*args, _name=name, _fn=getattr(engine, name), **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+
+            monkeypatch.setattr(engine, name, counted)
+        job = run_serial(comm_gg, 0.85, 8, strategy="split", tau_split=1)
+        assert job.n_subtasks > 0
+        assert calls == {"spawn_all": 1, "run_task": job.n_root_tasks + job.n_subtasks,
+                         "timed_maximal_only": 1}
 
 
 class TestDeal:
@@ -136,20 +157,6 @@ class TestStrategiesAgree:
         assert job.n_subtasks > 0
         assert job.mine_time > 0
         assert job.job_time >= job.mine_time * 0  # sanity: fields populated
-
-    def test_task_features_collected(self, comm_gg):
-        job = run_serial(comm_gg, 0.85, 8, strategy="base",
-                         collect_task_features=True)
-        tf = job.task_features
-        assert tf is not None and len(tf) == job.n_root_tasks
-        for col in ("num_vertices", "num_edges", "max_degree", "avg_degree",
-                    "core_number", "task_time_ms"):
-            assert col in tf.columns
-        assert (tf["num_vertices"] >= 0).all()
-        # one row per root built, its root in input ids
-        pruned, rows = spawn_all(comm_gg, 0.85, 8)
-        built = (pruned.spawn_task(v, make_gamma(0.85), 8) for v, _ in rows)
-        assert sorted(tf["root"]) == sorted(pruned.labels[t.root] for t in built if t)
 
 
 class TestDatasetSmoke:

@@ -1,4 +1,5 @@
 """Distributed engine (run_spark) vs serial ground truth and brute force."""
+import dataclasses
 import json
 import logging
 import math
@@ -12,13 +13,12 @@ from repro.core.brute import brute_force_maximal
 from repro.core.gamma import make_gamma
 from repro.core.graph import LocalGraph
 from repro.core.postprocess import maximal_only
+from repro.core.quickplus import MineStats
 from repro.graphs.datasets import load_dataset
 from repro.graphs.generators import edges_pdf, planted_community_graph
 from repro.graphs.global_graph import GlobalGraph
-from repro.gthinker.engine import (
-    _mine_rows, _Stack, run_serial, run_spark, spawn_all,
-)
-from repro.gthinker.qglobal import ROOT
+from repro.gthinker.engine import _mine_rows, run_serial, run_spark, spawn_all
+from repro.gthinker.qglobal import ROOT, run_in_process
 from repro.gthinker.tasks import run_task
 
 
@@ -154,7 +154,12 @@ class TestSparkEngine:
     @pytest.mark.parametrize("partitions", ["one", "twice the cores"])
     def test_matches_serial_at_any_parallelism(self, spark, comm_gg, strategy, kw, partitions):
         """Parallelism 1, and twice the cores: more partitions than Spark
-        runs at once, so some start after others have taken their rows."""
+        runs at once, so some start after others have taken their rows.
+
+        At one partition both engines run the same stage over a one-list
+        Q_global, so they pull the same rows in the same order (τ_time = 0
+        times every task out at once, so A_time decomposes the same way
+        on every run) and walk the same search tree."""
         parallelism = 1 if partitions == "one" else 2 * spark.sparkContext.defaultParallelism
         serial = run_serial(comm_gg, 0.85, 9, strategy=strategy, **kw)
         job = run_spark(spark, comm_gg, 0.85, 9, strategy=strategy,
@@ -164,6 +169,12 @@ class TestSparkEngine:
         if strategy != "time":  # timeouts make A_time's subtasks vary
             assert job.n_subtasks == serial.n_subtasks
         assert len(job.stage.part_rows) == min(parallelism, job.stage.rows_in)
+        if partitions == "one":
+            assert job.stage.part_rows == serial.stage.part_rows
+            assert job.stage.part_pulls == serial.stage.part_pulls == [job.n_subtasks + 2]
+            for f in dataclasses.fields(MineStats):
+                if f.name.startswith("n_"):
+                    assert getattr(job.stats, f.name) == getattr(serial.stats, f.name), f.name
 
     def test_speculation_refused(self, comm_gg):
         conf = {"spark.speculation": "true"}
@@ -203,7 +214,7 @@ class TestSparkEngine:
         assert rec["n_pruned_vertices"] == len(keep) > 0
         assert rec["n_pruned_edges"] == sum(
             len(keep.intersection(comm_gg.adj[v])) for v in keep) // 2 > 0
-        assert not {"results", "maximal", "task_features"} & rec.keys()
+        assert not {"results", "maximal"} & rec.keys()
         r = rec["stage"]
         assert len(r["part_mat_s"]) == len(r["part_filter_s"]) == len(r["part_rows"])
         assert all(m <= w for m, w in zip(r["part_mat_s"], r["part_wall_s"]))
@@ -218,12 +229,6 @@ class TestSparkEngine:
         with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
             run_spark(spark, comm_gg, 0.85, 9, strategy="bogus")
 
-    def test_task_features_via_spark(self, spark, comm_gg):
-        job = run_spark(spark, comm_gg, 0.85, 9, strategy="base",
-                        collect_task_features=True)
-        assert job.task_features is not None
-        assert len(job.task_features) == job.n_root_tasks
-
 
 class TestLocalDrain:
     """One partition's body, run in-process on every spawn row at
@@ -237,12 +242,13 @@ class TestLocalDrain:
         rows = [[ROOT, [v], []] for v, _ in spawned]
         return pruned, rows
 
-    def mine(self, partition, queue):
-        return _mine_rows(partition[0], queue, make_gamma(0.85), 9, **self.KW)
+    def mine(self, graph, queue):
+        return _mine_rows(graph, queue, make_gamma(0.85), 9, **self.KW)
 
     def test_unbounded_drain_ships_no_subtask(self, partition, comm_gg):
-        """On run_serial's stack, every subtask is mined where it was made."""
-        cands, stat, _ = self.mine(partition, _Stack(partition[1]))
+        """Run as run_serial runs its stage, partition 0 of a one-list
+        Q_global, a partition mines every subtask where it was made."""
+        [((cands, stat), _)] = run_in_process(*partition, self.mine)
         n_subtasks = stat["stats"]["n_subtasks"]
         assert stat["rows"] == len(partition[1]) + n_subtasks
         assert n_subtasks > 0
@@ -255,7 +261,7 @@ class TestLocalDrain:
         """Each subtask is pushed once, as run_task made it."""
         pushed = []
         queue = SimpleNamespace(pull=iter([partition[1], []]).__next__, push=pushed.extend)
-        _, stat, _ = self.mine(partition, queue)
+        _, stat = self.mine(partition[0], queue)
         assert stat["pulls"] == 2 and stat["rows"] == len(partition[1])
         pruned, rows = partition
         expect = []
