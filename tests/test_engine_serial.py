@@ -13,6 +13,7 @@ from repro.graphs.global_graph import GlobalGraph
 from repro.gthinker import engine
 from repro.gthinker.engine import run_serial, spawn_all
 from repro.gthinker.qglobal import _deal
+from repro.tables.t01_02_task_features import task_features
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +158,20 @@ class TestStrategiesAgree:
         assert job.n_subtasks > 0
         assert job.mine_time > 0
         assert job.job_time >= job.mine_time * 0  # sanity: fields populated
+
+    def test_task_features_collected(self, comm_gg):
+        """Tables 1-2's feature rows: one per root task the engine builds,
+        its root in input ids."""
+        tf = task_features(comm_gg, 0.85, 8)
+        cols = ["num_vertices", "num_edges", "max_degree", "avg_degree",
+                "core_number", "task_time_ms"]
+        assert set(cols) <= set(tf.columns)
+        assert (tf[cols] >= 0).all().all()
+        job = run_serial(comm_gg, 0.85, 8, strategy="base")
+        assert len(tf) == job.n_root_tasks > 0
+        pruned, _ = spawn_all(comm_gg, 0.85, 8)
+        assert sorted(tf["root"]) == sorted(
+            pruned.labels[t.root] for t in built_roots(comm_gg, 0.85, 8))
 
 
 class TestDatasetSmoke:

@@ -20,6 +20,7 @@ from repro.graphs.global_graph import GlobalGraph
 from repro.gthinker.engine import _mine_rows, run_serial, run_spark, spawn_all
 from repro.gthinker.qglobal import ROOT, run_in_process
 from repro.gthinker.tasks import run_task
+from repro.tables.t01_02_task_features import task_features
 
 
 def make_case(seed):
@@ -228,6 +229,12 @@ class TestSparkEngine:
     def test_unknown_strategy_refused_on_the_driver(self, spark, comm_gg):
         with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
             run_spark(spark, comm_gg, 0.85, 9, strategy="bogus")
+
+    def test_task_features_via_spark(self, spark, comm_gg):
+        """Tables 1-2's feature rows are timed serially, one per root task
+        that run_spark builds."""
+        job = run_spark(spark, comm_gg, 0.85, 9, strategy="base")
+        assert len(task_features(comm_gg, 0.85, 9)) == job.n_root_tasks > 0
 
 
 class TestLocalDrain:

@@ -6,10 +6,6 @@ rests on.
 """
 import pytest
 
-from repro.core.gamma import make_gamma
-from repro.graphs.generators import edges_pdf, planted_community_graph
-from repro.graphs.global_graph import GlobalGraph
-from repro.gthinker.engine import spawn_all
 from repro.tables import (
     t01_02_task_features,
     t03_datasets,
@@ -38,20 +34,6 @@ class TestTable01Shape:
         assert len(out) <= 5
         # ascending task time like the paper's presentation
         assert out["task_time_ms"].is_monotonic_increasing
-
-    def test_task_features_one_row_per_built_root(self):
-        gg = GlobalGraph.from_edges(
-            edges_pdf(planted_community_graph(250, [(12, 0.95), (10, 0.95)], seed=6)))
-        tf = t01_02_task_features.task_features(gg, 0.85, 8)
-        cols = ["num_vertices", "num_edges", "max_degree", "avg_degree",
-                "core_number", "task_time_ms"]
-        assert set(cols) <= set(tf.columns)
-        assert (tf[cols] >= 0).all().all()
-        # one row per root built, its root in input ids
-        pruned, rows = spawn_all(gg, 0.85, 8)
-        built = [t for t in (pruned.spawn_task(v, make_gamma(0.85), 8) for v, _ in rows) if t]
-        assert len(built) > 0
-        assert sorted(tf["root"]) == sorted(pruned.labels[t.root] for t in built)
 
 
 class TestTable05_06:
